@@ -396,7 +396,7 @@ def power_graph(g: TransitionGraph, k: int) -> TransitionGraph:
     exact images (see :func:`build_transition_graph`).
     """
     if k < 1:
-        raise OutOfRangeError("k must be >= 1")
+        raise InvalidParameterError("k must be >= 1")
     masks = [0] * g.n
     for v, row in enumerate(g.succ):
         m = 0

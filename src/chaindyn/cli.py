@@ -30,7 +30,7 @@ from .chaingraph import (
     is_totally_chain_transitive,
 )
 from .errors import ChainDynError
-from .recurrence import nonwandering_points, omega_limit, omega_subset_of_chain_recurrent
+from .recurrence import nonwandering_points, omega_limit
 from .shadowing import disconnectedness_dichotomy, estimate_shadowing_modulus
 from .systems import SystemSpec, load_analysis_defaults, load_system
 from .uniform import dyadic_basis, make_epsilon_entourage, verify_uniformity_axioms
@@ -224,13 +224,12 @@ def _dichotomy_stage(req: AnalysisRequest) -> dict[str, Any]:
 def _recurrence_stage(req: AnalysisRequest) -> dict[str, Any]:
     scale = make_epsilon_entourage(req.system.space, req.epsilon)
     omega = nonwandering_points(req.system, scale, req.horizon)
+    recurrent = chain_recurrent_set(build_transition_graph(req.system, scale))
     return {
         "omega": list(omega),
         "omega_count": len(omega),
         "omega_is_all": len(omega) == req.system.space.n,
-        "subset_of_chain_recurrent": omega_subset_of_chain_recurrent(
-            req.system, scale, req.horizon
-        ),
+        "subset_of_chain_recurrent": set(omega) <= recurrent,
         "horizon": req.horizon,
         "scale": scale.label,
     }
@@ -383,24 +382,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         system = load_system(args.spec)
         defaults = load_analysis_defaults(args.spec)
-        epsilon = float(
-            _pick(args.epsilon, defaults, "epsilon", 2 * system.space.resolution)
-        )
+        epsilon = _pick(args.epsilon, defaults, "epsilon", 2 * system.space.resolution)
         seed = _pick(args.seed, defaults, "seed", None)
-        if seed is not None:
-            seed = int(seed)
         if args.command in STOCHASTIC_COMMANDS and seed is None:
             parser.error(f"--seed is required for '{args.command}' (no wall-clock default)")
         request = AnalysisRequest(
             system=system,
             command=args.command,
             epsilon=epsilon,
-            basis_levels=int(_pick(args.basis, defaults, "basis", 8)),
-            horizon=int(_pick(args.horizon, defaults, "horizon", 100)),
-            trials=int(_pick(args.trials, defaults, "trials", 20)),
+            basis_levels=_pick(args.basis, defaults, "basis", 8),
+            horizon=_pick(args.horizon, defaults, "horizon", 100),
+            trials=_pick(args.trials, defaults, "trials", 20),
             seed=seed,
-            n_max=int(_pick(args.nmax, defaults, "nmax", 4)),
-            x=int(_pick(args.x, defaults, "x", 0)),
+            n_max=_pick(args.nmax, defaults, "nmax", 4),
+            x=_pick(args.x, defaults, "x", 0),
         )
         report = run(request)
         payload = render(

@@ -143,24 +143,11 @@ def nonwandering_points(
         raise IncompatibleSpaceError("entourage is over a different space")
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    n = system.space.n
-    orbits = [_snapped_orbit(system, x, horizon) for x in range(n)]
-    result = []
-    for x in range(n):
-        ball = scale.rows[x]
-        hit = False
-        for u in ball:
-            orbit = orbits[u]
-            for t in range(1, horizon + 1):
-                idx = orbit[t]
-                if idx is not None and idx in ball:
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            result.append(x)
-    return tuple(result)
+    # The snaps of each orbit at t >= 1; None (a missed snap) meets no ball.
+    visits = [frozenset(_snapped_orbit(system, u, horizon)[1:]) for u in range(system.space.n)]
+    return tuple(
+        x for x, ball in enumerate(scale.rows) if any(not visits[u].isdisjoint(ball) for u in ball)
+    )
 
 
 def classify_return_set(r: ReturnTimeSet) -> ReturnSetClassification:

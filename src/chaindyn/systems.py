@@ -19,6 +19,7 @@ lacks shadowing, and that is the claim the catalog checks.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
@@ -229,7 +230,7 @@ def permutation_system(
             if i in seen:
                 raise ValidationError(f"cycle index {i} repeated")
             seen.add(i)
-        for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+        for a, b in zip(cycle, [*cycle[1:], *cycle[:1]]):
             perm[a] = b
     return SystemSpec(name, MapKind.PERMUTATION, discrete_grid(n), (), tuple(perm))
 
@@ -338,14 +339,20 @@ def _parse_document(path: str) -> dict[str, Any]:
     return doc
 
 
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` as ``kind``, never a bool; a float also takes an int or a numeric string."""
+    kinds = (int, float, str) if kind is float else kind  # YAML 1.1 reads 1e-3 as a string
+    if not isinstance(value, bool) and isinstance(value, kinds):
+        with suppress(ValueError):
+            return kind(value)
+    raise ValidationError(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
 def _space_from_points(raw_points: Any, geometry: Geometry) -> FinitePhaseSpace:
-    pts = []
-    for p in raw_points:
-        if isinstance(p, (int, float)):
-            pts.append((float(p),))
-        else:
-            pts.append(tuple(float(c) for c in p))
-    tup = tuple(pts)
+    tup = tuple(
+        tuple(_typed(c, float, "points coordinate") for c in (p if isinstance(p, list) else [p]))
+        for p in _typed(raw_points, list, "points")
+    )
     if len(tup) == 1:
         gap = 1.0 if geometry == Geometry.DISCRETE else None
         return FinitePhaseSpace(tup, geometry, 1.0, gap=gap)
@@ -366,8 +373,8 @@ def _build_space(doc: dict[str, Any], geometry: Geometry) -> FinitePhaseSpace:
     if "grid_n" in doc and "points" in doc:
         raise ValidationError("give either grid_n or points, not both")
     if "grid_n" in doc:
-        n = doc["grid_n"]
-        if not isinstance(n, int) or n < 1:
+        n = _typed(doc["grid_n"], int, "grid_n")
+        if n < 1:
             raise ValidationError("grid_n must be a positive integer")
         if geometry == Geometry.CIRCLE:
             return circle_grid(n)
@@ -407,12 +414,12 @@ def load_system(path: str) -> SystemSpec:
     raw_params = doc.get("params", [])
     if not isinstance(raw_params, list):
         raise ValidationError("params must be a list of scalars")
-    params = tuple(float(p) for p in raw_params)
+    params = tuple(_typed(p, float, "params entry") for p in raw_params)
 
     if kind == MapKind.ODOMETER:
         if not params:
             raise ValidationError("levels parameter missing")
-        levels = int(params[0])
+        levels = _typed(raw_params[0], int, "odometer levels")
         if geometry != Geometry.DISCRETE:
             raise ValidationError("odometer requires discrete geometry")
         sys_ = odometer_system(levels, name=name)
@@ -422,6 +429,9 @@ def load_system(path: str) -> SystemSpec:
         cycles = doc.get("cycles")
         if not isinstance(cycles, list):
             raise ValidationError("cycles is required for permutation maps")
+        cycles = [
+            [_typed(i, int, "cycle index") for i in _typed(c, list, "cycle")] for c in cycles
+        ]
         sys_ = permutation_system(cycles, space.n, name=name)
         if "points" in doc:
             sys_ = SystemSpec(name, MapKind.PERMUTATION, space, (), sys_.permutation)
@@ -429,12 +439,20 @@ def load_system(path: str) -> SystemSpec:
     return SystemSpec(name, kind, space, params)
 
 
+#: The type of each CLI flag default an ``analysis`` table may set.
+_ANALYSIS_TYPES = {"epsilon": float, "format": str, "out": str, "dump_graph": str}
+_ANALYSIS_TYPES.update(dict.fromkeys(("basis", "horizon", "trials", "seed", "nmax", "x"), int))
+
+
 def load_analysis_defaults(path: str) -> dict[str, Any]:
-    """The optional ``analysis`` table of a spec file (CLI flag defaults)."""
+    """The optional ``analysis`` table of a spec file (CLI flag defaults), type-checked."""
     doc = _parse_document(path)
     table = doc.get("analysis", {})
     if table is None:
         return {}
     if not isinstance(table, dict):
         raise ValidationError("analysis must be a mapping")
-    return dict(table)
+    for key, kind in _ANALYSIS_TYPES.items():
+        if table.get(key) is not None:
+            table[key] = _typed(table[key], kind, f"analysis.{key}")
+    return table

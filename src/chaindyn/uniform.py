@@ -30,9 +30,9 @@ here have one global scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -82,6 +82,8 @@ class FinitePhaseSpace:
     geometry: Geometry
     resolution: float
     gap: float | None = None
+    #: Coordinates the point lookups bisect; None unless 1-D and well sorted.
+    _sorted: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -103,6 +105,10 @@ class FinitePhaseSpace:
                     raise InvalidParameterError(
                         "consecutive sample points must be within 2h"
                     )
+        xs = tuple(p[0] for p in self.points) if dim == 1 else ()
+        if any(b - a <= 1e3 * COMPARISON_SLACK for a, b in zip(xs, xs[1:])):
+            xs = ()
+        object.__setattr__(self, "_sorted", xs or None)
 
     @property
     def n(self) -> int:
@@ -130,50 +136,41 @@ class FinitePhaseSpace:
         return best
 
     def nearest_index(self, coords: Sequence[float]) -> int:
-        """Index of the grid point closest to ``coords``; ties take the smaller index."""
-        step = _uniform_step(self)
-        if step is not None:
-            return self._nearest_on_uniform_grid(coords[0], step)
-        best_i, best_d = 0, math.inf
-        for i, p in enumerate(self.points):
-            d = self.distance(coords, p)
-            if d < best_d - COMPARISON_SLACK:
-                best_i, best_d = i, d
-        return best_i
+        """Index of the grid point closest to ``coords``; ties take the smaller index.
 
-    def _nearest_on_uniform_grid(self, c: float, step: float) -> int:
-        n = self.n
-        k = c / step
-        if self.geometry.wraps:
-            candidates = sorted({math.floor(k) % n, math.ceil(k) % n})
-        else:
-            candidates = sorted(
-                {min(max(math.floor(k), 0), n - 1), min(max(math.ceil(k), 0), n - 1)}
-            )
-        best_i, best_d = candidates[0], self.distance((c,), self.points[candidates[0]])
-        for i in candidates[1:]:
-            d = self.distance((c,), self.points[i])
+        In index order, a later point replaces the choice only when it is
+        closer by more than the slack.  On a sorted space the distances fall
+        toward ``coords`` and then rise (on the circle they fall again toward
+        the end), so the rule needs only the bisection neighbours and the ends.
+        """
+        xs, n = self._sorted, self.n
+        candidates: Iterable[int] = range(n)
+        if xs is not None:
+            k = bisect_left(xs, coords[0])
+            candidates = sorted({0, max(k - 1, 0), min(k, n - 1), n - 1})
+        best_i, best_d = 0, math.inf
+        for i in candidates:
+            d = self.distance(coords, self.points[i])
             if d < best_d - COMPARISON_SLACK:
                 best_i, best_d = i, d
         return best_i
 
     def indices_within(self, coords: Sequence[float], radius: float) -> list[int]:
-        """All grid indices within ``radius`` of ``coords`` (closed, ascending)."""
+        """All grid indices within ``radius`` of ``coords`` (closed, ascending).
+
+        A sorted space tests only a slightly wider coordinate window, and on
+        the circle its shifts by +-1 (disjoint from it below width 1/2).
+        """
         bound = radius + COMPARISON_SLACK
-        return [i for i, p in enumerate(self.points) if self.distance(coords, p) <= bound]
-
-
-@lru_cache(maxsize=512)
-def _uniform_step(space: FinitePhaseSpace) -> float | None:
-    """Grid spacing when ``space`` is a canonical one-dimensional uniform grid."""
-    if space.dimension != 1 or space.n == 1:
-        return None
-    n = space.n
-    step = 1.0 / n if space.geometry.wraps else 1.0 / (n - 1)
-    for k, p in enumerate(space.points):
-        if abs(p[0] - k * step) > COMPARISON_SLACK:
-            return None
-    return step
+        xs, width = self._sorted, bound + COMPARISON_SLACK
+        if xs is None or (self.geometry.wraps and width >= 0.5):
+            window: Iterable[int] = range(self.n)
+        else:
+            c = coords[0]
+            shifts = (-1.0, 0.0, 1.0) if self.geometry.wraps else (0.0,)
+            window = [i for s in shifts for i in range(
+                bisect_left(xs, c + s - width), bisect_right(xs, c + s + width))]
+        return [i for i in window if self.distance(coords, self.points[i]) <= bound]
 
 
 def interval_grid(n: int) -> FinitePhaseSpace:

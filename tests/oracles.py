@@ -13,14 +13,57 @@ import random
 from chaindyn import TransitionGraph, graph_from_edges
 
 
+def within_bruteforce(space, coords, radius: float) -> list[int]:
+    """Indices within ``radius`` of arbitrary coordinates, by a full scan."""
+    return [
+        i for i, p in enumerate(space.points) if space.distance(coords, p) <= radius + 1e-12
+    ]
+
+
 def ball_bruteforce(space, center_index: int, eps: float) -> set[int]:
     """Epsilon-ball of a grid point by direct pairwise distance scan."""
-    c = space.points[center_index]
-    return {
-        i
-        for i, p in enumerate(space.points)
-        if space.distance(c, p) <= eps + 1e-12
-    }
+    return set(within_bruteforce(space, space.points[center_index], eps))
+
+
+def nearest_bruteforce(space, coords) -> int:
+    """Nearest grid index by a full scan in index order.
+
+    A later point replaces the current choice only when it is closer by more
+    than the 1e-12 comparison slack, so ties go to the smaller index.
+    """
+    best_i, best_d = 0, math.inf
+    for i, p in enumerate(space.points):
+        d = space.distance(coords, p)
+        if d < best_d - 1e-12:
+            best_i, best_d = i, d
+    return best_i
+
+
+def nonwandering_bruteforce(system, scale, horizon: int) -> tuple[int, ...]:
+    """Non-wandering estimate by the per-u, per-t scan over snapped orbits.
+
+    x qualifies when some u in the ball scale.rows[x] has an exact iterate
+    f^t(u), 1 <= t <= horizon, whose nearest grid point lies in the ball and
+    within h/2 of the iterate.  Snaps use :func:`nearest_bruteforce`.
+    """
+    from chaindyn.systems import iterate
+
+    space = system.space
+    tol = space.resolution / 2 + 1e-12
+    orbits = []
+    for u in range(space.n):
+        coords, orbit = space.points[u], []
+        for _ in range(horizon):
+            coords = iterate(system, coords, 1)
+            idx = nearest_bruteforce(space, coords)
+            orbit.append(idx if space.distance(coords, space.points[idx]) <= tol else None)
+        orbits.append(orbit)
+    result = []
+    for x in range(space.n):
+        ball = scale.rows[x]
+        if any(idx is not None and idx in ball for u in ball for idx in orbits[u]):
+            result.append(x)
+    return tuple(result)
 
 
 def on_cycle_bruteforce(g: TransitionGraph, x: int) -> bool:

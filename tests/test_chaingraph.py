@@ -277,6 +277,12 @@ class TestTotallyChainTransitive:
         e = make_epsilon_entourage(s.space, 2 * s.space.resolution)
         assert is_totally_chain_transitive(s, e, 6)
 
+    def test_power_graph_rejects_k_below_one(self):
+        from chaindyn import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError):
+            power_graph(graph_from_edges(2, [(0, 1), (1, 0)]), 0)
+
     def test_n_max_validated(self):
         from chaindyn import InvalidParameterError
 

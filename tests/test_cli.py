@@ -308,6 +308,38 @@ class TestErrorsAndDefaults:
         assert code == 1
         assert "ValidationError" in err
 
+    @pytest.mark.parametrize(
+        "spec_text, field",
+        [
+            ("map: rotation\ngeometry: circle\ngrid_n: 8\nparams: [abc]\n", "params"),
+            ("map: permutation\ngeometry: discrete\ngrid_n: 4\ncycles: [[0, a]]\n", "cycle"),
+            ("map: identity\ngeometry: discrete\npoints: 5\n", "points"),
+            (
+                "map: identity\ngeometry: interval\ngrid_n: 8\nanalysis: {horizon: abc}\n",
+                "analysis.horizon",
+            ),
+            ("map: identity\ngeometry: interval\ngrid_n: true\n", "grid_n"),
+        ],
+    )
+    def test_malformed_spec_is_a_validation_error(self, tmp_path, capsys, spec_text, field):
+        spec = write_spec(tmp_path, "name: bad\n" + spec_text)
+        code = cli.main(["recurrence", "--spec", spec])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ValidationError:")
+        assert field in err
+
+    def test_exponent_without_dot_is_a_number(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-1 as a string; the loader still takes it as a float
+        spec = write_spec(
+            tmp_path,
+            "name: r\nmap: rotation\ngeometry: circle\ngrid_n: 8\nparams: [1e-1]\n"
+            "analysis: {epsilon: 25e-2}\n",
+        )
+        code, out = run_cli(["graph", "--spec", spec, "--format", "machine"], capsys)
+        assert code == 0
+        assert json.loads(out)["request"]["epsilon"] == 0.25
+
     def test_seed_required_for_stochastic_commands(self, doubling_spec):
         with pytest.raises(SystemExit) as exc:
             cli.main(["shadowing", "--spec", doubling_spec])

@@ -27,6 +27,8 @@ from chaindyn import (
     weak_mixing_witness,
 )
 
+from oracles import nonwandering_bruteforce
+
 EQUICONTINUOUS = ("identity", "rotation-golden", "cycle-shift", "odometer-5")
 
 
@@ -89,6 +91,19 @@ class TestNonwandering:
             assert min(c, 1 - c) <= 6 * h + 1e-12
         # nothing in the middle of the interval
         assert not [x for x in omega if 0.2 < s.space.points[x][0] < 0.8]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_nonwandering_matches_scan_oracle(n):
+    for system in catalog_systems(n):
+        h = system.space.resolution
+        scales = [make_epsilon_entourage(system.space, r) for r in (h / 2, h, 2 * h)]
+        for horizon in (1, 7, 100):
+            for scale in scales:
+                expected = nonwandering_bruteforce(system, scale, horizon)
+                assert nonwandering_points(system, scale, horizon) == expected, (
+                    system.name, scale.label, horizon
+                )
 
 
 class TestClassification:

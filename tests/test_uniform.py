@@ -10,6 +10,7 @@ from chaindyn import (
     InvalidParameterError,
     OutOfRangeError,
     UniformityBasis,
+    cantor_space,
     circle_grid,
     compose,
     cross_section,
@@ -18,11 +19,12 @@ from chaindyn import (
     dyadic_basis,
     interval_grid,
     make_epsilon_entourage,
+    odometer_system,
     power,
     refining_entourage,
     verify_uniformity_axioms,
 )
-from oracles import ball_bruteforce
+from oracles import ball_bruteforce, nearest_bruteforce, within_bruteforce
 
 
 def relation_pairs(e):
@@ -127,6 +129,64 @@ class TestEpsilonEntourage:
         s = circle_grid(n)
         e = make_epsilon_entourage(s, eps)
         assert set(cross_section(e, x)) == ball_bruteforce(s, x, eps)
+
+
+# Irregular sorted coordinates with max gap 0.15; on the circle 0.0 and 1.0
+# are one point listed twice.
+IRREGULAR = (0.0, 0.1, 0.25, 0.3, 0.45, 0.6, 0.7, 0.85, 1.0)
+SNAP_SPACES = (
+    *(grid(n) for n in (1, 2, 3, 4, 5, 7, 8, 16, 33)
+      for grid in (interval_grid, circle_grid, discrete_grid)),
+    *(cantor_space(levels) for levels in (1, 2, 3, 4)),
+    *(odometer_system(levels).space for levels in (1, 3, 6)),
+    *(FinitePhaseSpace(tuple((c,) for c in IRREGULAR), geometry, 0.075)
+      for geometry in (Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE)),
+    # unsorted: keeps the full scan
+    FinitePhaseSpace(((0.5,), (0.0,), (0.9,), (0.2,)), Geometry.DISCRETE, 0.1, gap=0.1),
+)
+
+
+def structured_probes(space):
+    """Grid points, exact midpoints (ties), multiples of h, and both ends."""
+    xs = [p[0] for p in space.points]
+    h = space.resolution
+    probes = set(xs) | {0.0, 1.0}
+    probes |= {(a + b) / 2 for a, b in zip(sorted(xs), sorted(xs)[1:])}
+    probes |= {k * h for k in range(int(1 / h) + 1) if k * h <= 1.0}
+    if space.geometry.wraps:
+        probes.add((max(xs) + 1.0 + min(xs)) / 2 % 1.0)
+    return sorted(probes)
+
+
+def snap_radii(space):
+    h = space.resolution
+    return (0.0, h / 2, h, 2 * h, 3 * h, 0.5 - 1e-12, 0.5, 1.0)
+
+
+class TestSnapIndex:
+    """nearest_index and indices_within agree with the full scan."""
+
+    @pytest.mark.parametrize("space", SNAP_SPACES, ids=lambda s: f"{s.geometry.value}-{s.n}")
+    def test_structured_probes_match_scan(self, space):
+        for c in structured_probes(space):
+            assert space.nearest_index((c,)) == nearest_bruteforce(space, (c,)), c
+            for r in snap_radii(space):
+                assert space.indices_within((c,), r) == within_bruteforce(space, (c,), r), (c, r)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_probes_match_scan(self, data):
+        space = data.draw(st.sampled_from(SNAP_SPACES))
+        c = data.draw(st.one_of(
+            st.sampled_from(structured_probes(space)),
+            st.floats(min_value=0.0, max_value=1.0),
+        ))
+        r = data.draw(st.one_of(
+            st.sampled_from(snap_radii(space)),
+            st.floats(min_value=0.0, max_value=1.0),
+        ))
+        assert space.nearest_index((c,)) == nearest_bruteforce(space, (c,))
+        assert space.indices_within((c,), r) == within_bruteforce(space, (c,), r)
 
 
 class TestComposition:

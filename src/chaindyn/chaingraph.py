@@ -40,7 +40,6 @@ __all__ = [
     "build_transition_graph",
     "image_successors",
     "strongly_connected_components",
-    "scc_labels",
     "chain_recurrent_set",
     "is_chain_transitive",
     "graph_period",
@@ -177,31 +176,9 @@ def strongly_connected_components(g: TransitionGraph) -> list[list[int]]:
     return comps
 
 
-def scc_labels(g: TransitionGraph) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Per-vertex component label plus the canonical component list."""
-    comps = strongly_connected_components(g)
-    labels = [0] * g.n
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            labels[v] = cid
-    return tuple(labels), comps
-
-
-def _component(g: TransitionGraph, component: int) -> list[int]:
-    comps = strongly_connected_components(g)
-    if not 0 <= component < len(comps):
-        raise OutOfRangeError(f"no component labeled {component}")
-    return comps[component]
-
-
 def chain_recurrent_set(g: TransitionGraph) -> frozenset[int]:
     """Vertices lying on a directed cycle of length >= 1 (self-loops count)."""
-    recurrent: set[int] = set()
-    for comp in strongly_connected_components(g):
-        members = set(comp)
-        if any(y in members for x in comp for y in g.succ[x]):
-            recurrent |= members
-    return frozenset(recurrent)
+    return ChainAnalysis.from_graph(g).recurrent
 
 
 def is_chain_transitive(g: TransitionGraph) -> bool:
@@ -210,12 +187,7 @@ def is_chain_transitive(g: TransitionGraph) -> bool:
     Equivalent to a single strongly connected component containing at
     least one edge (a single vertex needs a self-loop).
     """
-    comps = strongly_connected_components(g)
-    if len(comps) != 1:
-        return False
-    if g.n == 1:
-        return g.has_edge(0, 0)
-    return True
+    return ChainAnalysis.from_graph(g).transitive
 
 
 def _bfs_levels(g: TransitionGraph, root: int, members: set[int]) -> dict[int, int]:
@@ -232,23 +204,19 @@ def _bfs_levels(g: TransitionGraph, root: int, members: set[int]) -> dict[int, i
     return levels
 
 
+def _per_component(values: tuple, component: int):
+    if not 0 <= component < len(values):
+        raise OutOfRangeError(f"no component labeled {component}")
+    return values[component]
+
+
 def graph_period(g: TransitionGraph, component: int) -> int:
     """gcd of the lengths of all cycles through the component's vertices.
 
-    Computed as the gcd of ``level(u) + 1 - level(v)`` over internal edges
-    u -> v of a BFS level labeling, which equals the cycle-length gcd on a
-    strongly connected component.  Returns 0 when the component has no
-    internal edge (a cycle-free singleton).
+    Returns 0 when the component has no internal edge (a cycle-free
+    singleton).  See :meth:`ChainAnalysis.from_graph`.
     """
-    comp = _component(g, component)
-    members = set(comp)
-    levels = _bfs_levels(g, comp[0], members)
-    period = 0
-    for u in comp:
-        for v in g.succ[u]:
-            if v in members:
-                period = math.gcd(period, abs(levels[u] + 1 - levels[v]))
-    return period
+    return _per_component(ChainAnalysis.from_graph(g).periods, component)
 
 
 def cyclic_classes(g: TransitionGraph, component: int) -> tuple[tuple[int, ...], ...]:
@@ -258,16 +226,10 @@ def cyclic_classes(g: TransitionGraph, component: int) -> tuple[tuple[int, ...],
     divisible by the period; edges advance classes cyclically.  Class 0 is
     anchored at the smallest vertex index of the component.
     """
-    comp = _component(g, component)
-    period = graph_period(g, component)
-    if period == 0:
+    classes = _per_component(ChainAnalysis.from_graph(g).classes, component)
+    if classes is None:
         raise NoCycleError("component has no cycle; classes are undefined")
-    members = set(comp)
-    levels = _bfs_levels(g, comp[0], members)
-    classes: list[list[int]] = [[] for _ in range(period)]
-    for v in comp:
-        classes[levels[v] % period].append(v)
-    return tuple(tuple(sorted(c)) for c in classes)
+    return classes
 
 
 def is_chain_mixing(g: TransitionGraph) -> bool:
@@ -278,9 +240,8 @@ def is_chain_mixing(g: TransitionGraph) -> bool:
     every pair; the test suite cross-validates this against a dynamic
     program over (vertex, length) up to the Frobenius-derived bound.
     """
-    if not is_chain_transitive(g):
-        return False
-    return graph_period(g, 0) == 1
+    analysis = ChainAnalysis.from_graph(g)
+    return analysis.transitive and analysis.periods[0] == 1
 
 
 def is_totally_chain_transitive(
@@ -307,57 +268,59 @@ def chain_diameter(g: TransitionGraph) -> int:
     For a pair (x, x) the length of the shortest cycle through x is used.
     Defined only for chain transitive graphs.
     """
-    if not is_chain_transitive(g):
-        raise UndefinedDiameterError("diameter is undefined: graph is not chain transitive")
-    n = g.n
-    dist = []
-    for src in range(n):
-        d = [-1] * n
-        d[src] = 0
+    best = 0
+    for src in range(g.n):
+        # lengths of shortest paths of length >= 1, so dist[src] is the shortest cycle
+        dist = [math.inf] * g.n
         frontier = [src]
+        length = 0
         while frontier:
+            length += 1
             nxt = []
             for u in frontier:
                 for v in g.succ[u]:
-                    if d[v] == -1:
-                        d[v] = d[u] + 1
+                    if dist[v] == math.inf:
+                        dist[v] = length
                         nxt.append(v)
             frontier = nxt
-        dist.append(d)
-    best = 0
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                cycle = min(1 + dist[s][x] for s in g.succ[x])
-                best = max(best, cycle)
-            else:
-                best = max(best, dist[x][y])
+        best = max(best, *dist)
+        if best == math.inf:
+            break
+    if not 0 < best < math.inf:
+        raise UndefinedDiameterError("diameter is undefined: graph is not chain transitive")
     return best
+
+
+def _successor_masks(g: TransitionGraph) -> list[int]:
+    masks = [0] * g.n
+    for v, row in enumerate(g.succ):
+        for w in row:
+            masks[v] |= 1 << w
+    return masks
+
+
+def _walk_step(masks: list[int], reach: int) -> int:
+    """The vertex set one edge after ``reach``, both as bit masks."""
+    nxt = 0
+    v = 0
+    while reach:
+        if reach & 1:
+            nxt |= masks[v]
+        reach >>= 1
+        v += 1
+    return nxt
 
 
 def closed_walk_lengths(g: TransitionGraph, x: int, max_length: int) -> list[int]:
     """Lengths ell <= max_length admitting a closed walk (chain) x -> x."""
     if not 0 <= x < g.n:
         raise OutOfRangeError(f"vertex {x} out of range")
-    masks = [0] * g.n
-    for v, row in enumerate(g.succ):
-        m = 0
-        for w in row:
-            m |= 1 << w
-        masks[v] = m
+    masks = _successor_masks(g)
     lengths = []
     reach = 1 << x
     xbit = 1 << x
     for ell in range(1, max_length + 1):
-        nxt = 0
-        r = reach
-        v = 0
-        while r:
-            if r & 1:
-                nxt |= masks[v]
-            r >>= 1
-            v += 1
-        reach = nxt
+        reach = _walk_step(masks, reach)
         if reach & xbit:
             lengths.append(ell)
         if not reach:
@@ -375,7 +338,7 @@ def find_coprime_cycles(g: TransitionGraph, x: int) -> tuple[int, int]:
     """
     if not 0 <= x < g.n:
         raise OutOfRangeError(f"vertex {x} out of range")
-    if not is_chain_transitive(g) or graph_period(g, 0) != 1:
+    if not is_chain_mixing(g):
         raise NoCoprimeCyclesError("graph is not strongly connected with period 1")
     # Period 1 implies consecutive walk lengths appear within the Wielandt
     # bound, so the cap below always suffices.
@@ -397,25 +360,10 @@ def power_graph(g: TransitionGraph, k: int) -> TransitionGraph:
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    masks = [0] * g.n
-    for v, row in enumerate(g.succ):
-        m = 0
-        for w in row:
-            m |= 1 << w
-        masks[v] = m
+    masks = _successor_masks(g)
     reach = list(masks)
     for _ in range(k - 1):
-        new = []
-        for r in reach:
-            nxt = 0
-            v = 0
-            while r:
-                if r & 1:
-                    nxt |= masks[v]
-                r >>= 1
-                v += 1
-            new.append(nxt)
-        reach = new
+        reach = [_walk_step(masks, r) for r in reach]
     rows = []
     for r in reach:
         row = []
@@ -431,29 +379,59 @@ def power_graph(g: TransitionGraph, k: int) -> TransitionGraph:
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Bundle of the per-graph chain invariants."""
+    """Bundle of the per-graph chain invariants, one entry per component.
 
-    scc_id: tuple[int, ...]
+    ``classes[c]`` is None when component c has no cycle (period 0).
+    """
+
     components: tuple[tuple[int, ...], ...]
     is_strongly_connected: bool
     periods: tuple[int, ...]
     classes: tuple[tuple[tuple[int, ...], ...] | None, ...]
-    diameter: int | None
+
+    @property
+    def transitive(self) -> bool:
+        """One component, and it carries a cycle."""
+        return self.is_strongly_connected and self.periods[0] >= 1
+
+    @property
+    def recurrent(self) -> frozenset[int]:
+        """The union of the components that carry a cycle."""
+        return frozenset(
+            v for comp, p in zip(self.components, self.periods) if p >= 1 for v in comp
+        )
 
     @classmethod
     def from_graph(cls, g: TransitionGraph) -> "ChainAnalysis":
-        labels, comps = scc_labels(g)
-        periods = tuple(graph_period(g, cid) for cid in range(len(comps)))
+        """One Tarjan pass, then one BFS-level pass per component.
+
+        A component's period is the gcd of ``level(u) + 1 - level(v)`` over
+        its internal edges u -> v, for BFS levels from its smallest vertex;
+        this equals the gcd of its cycle lengths.  Class k holds the
+        vertices whose level is k modulo the period.
+        """
+        comps = strongly_connected_components(g)
+        periods: list[int] = []
         classes: list[tuple[tuple[int, ...], ...] | None] = []
-        for cid, period in enumerate(periods):
-            classes.append(cyclic_classes(g, cid) if period >= 1 else None)
-        transitive = is_chain_transitive(g)
-        diameter = chain_diameter(g) if transitive else None
+        for comp in comps:
+            members = set(comp)
+            levels = _bfs_levels(g, comp[0], members)
+            period = 0
+            for u in comp:
+                for v in g.succ[u]:
+                    if v in members:
+                        period = math.gcd(period, abs(levels[u] + 1 - levels[v]))
+            periods.append(period)
+            if period == 0:
+                classes.append(None)
+                continue
+            buckets: list[list[int]] = [[] for _ in range(period)]
+            for v in comp:
+                buckets[levels[v] % period].append(v)
+            classes.append(tuple(tuple(b) for b in buckets))
         return cls(
-            scc_id=labels,
             components=tuple(tuple(c) for c in comps),
             is_strongly_connected=len(comps) == 1,
-            periods=periods,
+            periods=tuple(periods),
             classes=tuple(classes),
-            diameter=diameter,
         )

@@ -17,23 +17,28 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from . import __version__
 from .chaingraph import (
     ChainAnalysis,
+    TransitionGraph,
     build_transition_graph,
     chain_diameter,
-    chain_recurrent_set,
-    is_chain_mixing,
-    is_chain_transitive,
     is_totally_chain_transitive,
 )
 from .errors import ChainDynError
 from .recurrence import nonwandering_points, omega_limit
 from .shadowing import disconnectedness_dichotomy, estimate_shadowing_modulus
-from .systems import SystemSpec, load_analysis_defaults, load_system
-from .uniform import dyadic_basis, make_epsilon_entourage, verify_uniformity_axioms
+from .systems import SystemSpec, load_analysis_defaults, load_system, parse_spec
+from .uniform import (
+    Entourage,
+    UniformityBasis,
+    dyadic_basis,
+    make_epsilon_entourage,
+    verify_uniformity_axioms,
+)
 
 SCHEMA_VERSION = "1"
 COMMANDS = (
@@ -53,6 +58,12 @@ STOCHASTIC_COMMANDS = frozenset({"shadowing", "dichotomy", "full"})
 
 @dataclass(frozen=True)
 class AnalysisRequest:
+    """One analysis request.
+
+    The artifacts the stages share are built on first use and then kept, so
+    a request builds its entourage, basis, graph and chain analysis once.
+    """
+
     system: SystemSpec
     command: str
     epsilon: float
@@ -79,6 +90,22 @@ class AnalysisRequest:
             "x": self.x,
         }
 
+    @cached_property
+    def entourage(self) -> Entourage:
+        return make_epsilon_entourage(self.system.space, self.epsilon)
+
+    @cached_property
+    def basis(self) -> UniformityBasis:
+        return dyadic_basis(self.system.space, self.basis_levels)
+
+    @cached_property
+    def graph(self) -> TransitionGraph:
+        return build_transition_graph(self.system, self.entourage)
+
+    @cached_property
+    def analysis(self) -> ChainAnalysis:
+        return ChainAnalysis.from_graph(self.graph)
+
 
 @dataclass(frozen=True)
 class Report:
@@ -93,7 +120,7 @@ class Report:
 
 
 def _axioms_stage(req: AnalysisRequest) -> dict[str, Any]:
-    report = verify_uniformity_axioms(dyadic_basis(req.system.space, req.basis_levels))
+    report = verify_uniformity_axioms(req.basis)
     return {
         "all_ok": report.all_ok,
         "floor_is_diagonal": report.floor_is_diagonal,
@@ -111,9 +138,7 @@ def _axioms_stage(req: AnalysisRequest) -> dict[str, Any]:
 
 
 def _graph_stage(req: AnalysisRequest) -> dict[str, Any]:
-    g = build_transition_graph(
-        req.system, make_epsilon_entourage(req.system.space, req.epsilon)
-    )
+    g = req.graph
     degrees = [len(row) for row in g.succ]
     return {
         "n": g.n,
@@ -125,15 +150,12 @@ def _graph_stage(req: AnalysisRequest) -> dict[str, Any]:
 
 
 def _chains_stage(req: AnalysisRequest) -> dict[str, Any]:
-    g = build_transition_graph(
-        req.system, make_epsilon_entourage(req.system.space, req.epsilon)
-    )
-    analysis = ChainAnalysis.from_graph(g)
-    recurrent = sorted(chain_recurrent_set(g))
+    analysis = req.analysis
+    recurrent = sorted(analysis.recurrent)
     out: dict[str, Any] = {
-        "chain_transitive": is_chain_transitive(g),
+        "chain_transitive": analysis.transitive,
         "chain_recurrent": recurrent,
-        "chain_recurrent_is_all": len(recurrent) == g.n,
+        "chain_recurrent_is_all": len(recurrent) == req.graph.n,
         "component_count": len(analysis.components),
         "periods": list(analysis.periods),
     }
@@ -148,13 +170,10 @@ def _chains_stage(req: AnalysisRequest) -> dict[str, Any]:
 
 
 def _mixing_stage(req: AnalysisRequest) -> dict[str, Any]:
-    e = make_epsilon_entourage(req.system.space, req.epsilon)
-    g = build_transition_graph(req.system, e)
-    mixing = is_chain_mixing(g)
-    totally = is_totally_chain_transitive(req.system, e, req.n_max)
-    period = None
-    if is_chain_transitive(g):
-        period = ChainAnalysis.from_graph(g).periods[0]
+    analysis = req.analysis
+    period = analysis.periods[0] if analysis.transitive else None
+    mixing = period == 1
+    totally = is_totally_chain_transitive(req.system, req.entourage, req.n_max)
     return {
         "chain_mixing": mixing,
         "totally_chain_transitive": totally,
@@ -165,20 +184,16 @@ def _mixing_stage(req: AnalysisRequest) -> dict[str, Any]:
 
 
 def _diameter_stage(req: AnalysisRequest) -> dict[str, Any]:
-    g = build_transition_graph(
-        req.system, make_epsilon_entourage(req.system.space, req.epsilon)
-    )
-    if not is_chain_transitive(g):
+    if not req.analysis.transitive:
         return {"defined": False, "diameter": None, "reason": "not chain transitive"}
-    return {"defined": True, "diameter": chain_diameter(g), "reason": None}
+    return {"defined": True, "diameter": chain_diameter(req.graph), "reason": None}
 
 
 def _shadowing_stage(req: AnalysisRequest) -> dict[str, Any]:
-    space = req.system.space
     report = estimate_shadowing_modulus(
         req.system,
-        make_epsilon_entourage(space, req.epsilon),
-        dyadic_basis(space, req.basis_levels),
+        req.entourage,
+        req.basis,
         req.trials,
         req.horizon,
         req.seed if req.seed is not None else 0,
@@ -202,11 +217,10 @@ def _shadowing_stage(req: AnalysisRequest) -> dict[str, Any]:
 
 
 def _dichotomy_stage(req: AnalysisRequest) -> dict[str, Any]:
-    space = req.system.space
     report = disconnectedness_dichotomy(
-        space,
-        make_epsilon_entourage(space, req.epsilon),
-        dyadic_basis(space, req.basis_levels),
+        req.system.space,
+        req.entourage,
+        req.basis,
         req.trials,
         req.seed if req.seed is not None else 0,
     )
@@ -222,16 +236,14 @@ def _dichotomy_stage(req: AnalysisRequest) -> dict[str, Any]:
 
 
 def _recurrence_stage(req: AnalysisRequest) -> dict[str, Any]:
-    scale = make_epsilon_entourage(req.system.space, req.epsilon)
-    omega = nonwandering_points(req.system, scale, req.horizon)
-    recurrent = chain_recurrent_set(build_transition_graph(req.system, scale))
+    omega = nonwandering_points(req.system, req.entourage, req.horizon)
     return {
         "omega": list(omega),
         "omega_count": len(omega),
         "omega_is_all": len(omega) == req.system.space.n,
-        "subset_of_chain_recurrent": set(omega) <= recurrent,
+        "subset_of_chain_recurrent": set(omega) <= req.analysis.recurrent,
         "horizon": req.horizon,
-        "scale": scale.label,
+        "scale": req.entourage.label,
     }
 
 
@@ -380,8 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        system = load_system(args.spec)
-        defaults = load_analysis_defaults(args.spec)
+        document = parse_spec(args.spec)
+        system = load_system(args.spec, document)
+        defaults = load_analysis_defaults(args.spec, document)
         epsilon = _pick(args.epsilon, defaults, "epsilon", 2 * system.space.resolution)
         seed = _pick(args.seed, defaults, "seed", None)
         if args.command in STOCHASTIC_COMMANDS and seed is None:
@@ -403,11 +416,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         dump_graph = _pick(args.dump_graph, defaults, "dump_graph", None)
         if dump_graph is not None:
-            g = build_transition_graph(
-                system, make_epsilon_entourage(system.space, epsilon)
-            )
             with open(dump_graph, "w", encoding="utf-8") as fh:
-                for src, dst in g.edges():
+                for src, dst in request.graph.edges():
                     fh.write(f"{src} {dst}\n")
         out = _pick(args.out, defaults, "out", None)
         if out is not None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _parallel
-from .chaingraph import image_successors
+from .chaingraph import graph_from_edges, image_successors, strongly_connected_components
 from .errors import (
     DiscretizationTooCoarseError,
     IncompatibleSpaceError,
@@ -474,27 +474,6 @@ def import_pseudo_orbit(text: str) -> tuple[PseudoOrbit, dict[str, str]]:
     )
 
 
-def _relation_components(e: Entourage) -> list[set[int]]:
-    n = e.space.n
-    seen = [False] * n
-    comps = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        comp = {root}
-        seen[root] = True
-        frontier = [root]
-        while frontier:
-            u = frontier.pop()
-            for v in e.rows[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    frontier.append(v)
-        comps.append(comp)
-    return comps
-
-
 def disconnectedness_dichotomy(
     space: FinitePhaseSpace,
     e: Entourage,
@@ -517,7 +496,9 @@ def disconnectedness_dichotomy(
         raise IncompatibleSpaceError("entourage is over a different space")
     from .systems import identity_system
 
-    comps = _relation_components(e)
+    # an entourage is symmetric, so its strongly connected components are
+    # the connected components of the scale relation
+    comps = strongly_connected_components(graph_from_edges(space.n, e.pairs()))
     connected = len(comps) == 1 and (
         e.scale is None or e.scale >= space.resolution - COMPARISON_SLACK or space.n == 1
     )

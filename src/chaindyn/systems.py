@@ -30,9 +30,11 @@ from .errors import (
     InvalidParameterError,
     MalformedSpecError,
     OutOfRangeError,
+    ResourceLimitError,
     ValidationError,
 )
 from .uniform import (
+    MAX_POINTS,
     FinitePhaseSpace,
     Geometry,
     circle_grid,
@@ -256,6 +258,8 @@ def odometer_system(levels: int, name: str | None = None) -> SystemSpec:
     """
     if levels < 1:
         raise InvalidParameterError("levels must be >= 1")
+    if levels >= MAX_POINTS.bit_length():  # 2**levels > MAX_POINTS, not computed
+        raise ResourceLimitError(f"2^{levels} points exceed the cap of {MAX_POINTS}")
     n = 2 ** levels
     h = 2.0 ** (-levels)
     pts = tuple((k * h,) for k in range(n))
@@ -324,7 +328,8 @@ def catalog_systems(n: int) -> tuple[SystemSpec, ...]:
 # spec files
 
 
-def _parse_document(path: str) -> dict[str, Any]:
+def parse_spec(path: str) -> dict[str, Any]:
+    """The top-level mapping of a YAML spec file, read and parsed once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -388,16 +393,17 @@ def _build_space(doc: dict[str, Any], geometry: Geometry) -> FinitePhaseSpace:
     raise ValidationError("grid_n or points required")
 
 
-def load_system(path: str) -> SystemSpec:
+def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec:
     """Load and validate a system spec from a YAML document.
 
     Required keys: ``name``, ``map``, ``geometry``, and ``grid_n`` or
     ``points``.  Scalar parameters go under ``params``; permutations under
     ``cycles``.  Parse failures raise :class:`MalformedSpecError` with line
     information; invariant violations raise :class:`ValidationError`
-    naming the offending field.
+    naming the offending field.  ``document``, when given, is the already
+    parsed content of ``path``, and the file is not read again.
     """
-    doc = _parse_document(path)
+    doc = parse_spec(path) if document is None else document
     for key in ("name", "map", "geometry"):
         if key not in doc:
             raise ValidationError(f"{key} is required")
@@ -444,9 +450,14 @@ _ANALYSIS_TYPES = {"epsilon": float, "format": str, "out": str, "dump_graph": st
 _ANALYSIS_TYPES.update(dict.fromkeys(("basis", "horizon", "trials", "seed", "nmax", "x"), int))
 
 
-def load_analysis_defaults(path: str) -> dict[str, Any]:
-    """The optional ``analysis`` table of a spec file (CLI flag defaults), type-checked."""
-    doc = _parse_document(path)
+def load_analysis_defaults(
+    path: str, document: dict[str, Any] | None = None
+) -> dict[str, Any]:
+    """The optional ``analysis`` table of a spec file (CLI flag defaults), type-checked.
+
+    ``document`` is as for :func:`load_system`.
+    """
+    doc = parse_spec(path) if document is None else document
     table = doc.get("analysis", {})
     if table is None:
         return {}

@@ -40,10 +40,14 @@ from .errors import (
     InvalidCoverError,
     InvalidParameterError,
     OutOfRangeError,
+    ResourceLimitError,
 )
 
 #: Absolute slack on closed distance comparisons (see module docstring).
 COMPARISON_SLACK = 1e-12
+
+#: Desk-scale cap on the size of a generated phase space.
+MAX_POINTS = 2 ** 16
 
 
 class Geometry(Enum):
@@ -173,10 +177,17 @@ class FinitePhaseSpace:
         return [i for i in window if self.distance(coords, self.points[i]) <= bound]
 
 
-def interval_grid(n: int) -> FinitePhaseSpace:
-    """Uniform n-point grid on [0, 1] with spacing h = 1/(n-1)."""
+def _check_grid_size(n: int) -> None:
+    """Reject a grid size below 1 or past the cap before any point is built."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
+    if n > MAX_POINTS:
+        raise ResourceLimitError(f"{n} points exceed the cap of {MAX_POINTS}")
+
+
+def interval_grid(n: int) -> FinitePhaseSpace:
+    """Uniform n-point grid on [0, 1] with spacing h = 1/(n-1)."""
+    _check_grid_size(n)
     if n == 1:
         return FinitePhaseSpace(((0.0,),), Geometry.INTERVAL, 1.0)
     pts = tuple((k / (n - 1),) for k in range(n))
@@ -185,16 +196,14 @@ def interval_grid(n: int) -> FinitePhaseSpace:
 
 def circle_grid(n: int) -> FinitePhaseSpace:
     """Uniform n-point grid on the circle with spacing h = 1/n."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    _check_grid_size(n)
     pts = tuple((k / n,) for k in range(n))
     return FinitePhaseSpace(pts, Geometry.CIRCLE, 1.0 / n)
 
 
 def discrete_grid(n: int) -> FinitePhaseSpace:
     """n isolated points embedded uniformly in [0, 1] (gap recorded)."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    _check_grid_size(n)
     if n == 1:
         return FinitePhaseSpace(((0.0,),), Geometry.DISCRETE, 1.0, gap=1.0)
     h = 1.0 / (n - 1)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaindyn import (
     ChainAnalysis,
@@ -494,3 +496,53 @@ class TestSCC:
                 assert closed_walk_lengths(g, v, 15) == loop_lengths_bruteforce(
                     g, v, 15
                 )
+
+
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_analysis_matches_networkx(case):
+    # components, periods, classes and diameter against networkx and the loop oracle
+    nx = pytest.importorskip("networkx")
+    n, edges = case
+    g = graph_from_edges(n, edges)
+    G = nx.DiGraph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    analysis = ChainAnalysis.from_graph(g)
+
+    expected = {frozenset(c) for c in nx.strongly_connected_components(G)}
+    assert {frozenset(c) for c in analysis.components} == expected
+    cyclic = [c for c in analysis.components if len(c) > 1 or G.has_edge(c[0], c[0])]
+    assert analysis.recurrent == {v for c in cyclic for v in c}
+    assert analysis.transitive == (
+        nx.is_strongly_connected(G) and not nx.is_directed_acyclic_graph(G)
+    )
+    for comp, period, classes in zip(analysis.components, analysis.periods, analysis.classes):
+        if comp not in cyclic:
+            assert period == 0 and classes is None
+            continue
+        assert (period == 1) == nx.is_aperiodic(G.subgraph(comp))
+        assert period == gcd_of(loop_lengths_bruteforce(g, comp[0], 3 * len(comp)))
+        assert len(classes) == period
+        assert sorted(v for c in classes for v in c) == list(comp)
+        position = {v: i for i, c in enumerate(classes) for v in c}
+        for u in comp:
+            for v in g.succ[u]:
+                if v in position:
+                    assert position[v] == (position[u] + 1) % period
+
+    if not analysis.transitive:
+        with pytest.raises(UndefinedDiameterError):
+            chain_diameter(g)
+        return
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+    cycles = [min(1 + dist[s][x] for s in g.succ[x]) for x in range(n)]
+    pairs = [dist[x][y] for x in range(n) for y in range(n) if x != y]
+    assert chain_diameter(g) == max(cycles + pairs)

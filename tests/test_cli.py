@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -393,3 +394,65 @@ class TestErrorsAndDefaults:
         )
         doc = json.loads(out)
         assert doc["request"]["epsilon"] == pytest.approx(2 / 64)
+
+
+class TestOncePerRequest:
+    def test_spec_is_parsed_once(self, doubling_spec, capsys, monkeypatch):
+        from chaindyn import systems
+
+        calls = []
+        safe_load = systems.yaml.safe_load
+        monkeypatch.setattr(
+            systems.yaml, "safe_load", lambda fh: calls.append(1) or safe_load(fh)
+        )
+        code, _ = run_cli(["graph", "--spec", doubling_spec], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_full_builds_each_artifact_once(self, doubling_spec, tmp_path, capsys, monkeypatch):
+        counts = {}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("make_epsilon_entourage", "dyadic_basis", "build_transition_graph"):
+            counted(name)
+        dump = tmp_path / "edges.txt"
+        code, out = run_cli(
+            [
+                "full", "--spec", doubling_spec, "--seed", "7", "--trials", "2",
+                "--horizon", "8", "--dump-graph", str(dump), "--format", "machine",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert counts == {
+            "make_epsilon_entourage": 1, "dyadic_basis": 1, "build_transition_graph": 1,
+        }
+        edges = json.loads(out)["results"]["graph"]["edges"]
+        assert len(dump.read_text().splitlines()) == edges
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize(
+        "spec_text",
+        [
+            "map: odometer\ngeometry: discrete\nparams: [40]\n",
+            "map: identity\ngeometry: interval\ngrid_n: 1000000000\n",
+        ],
+    )
+    def test_oversized_space_is_refused_at_once(self, tmp_path, capsys, spec_text):
+        spec = write_spec(tmp_path, "name: big\n" + spec_text)
+        start = time.perf_counter()
+        code = cli.main(["graph", "--spec", spec])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ResourceLimitError:")
+        assert elapsed < 1.0

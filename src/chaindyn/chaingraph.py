@@ -19,7 +19,7 @@ walk-power for abstract digraph work where no underlying map exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from . import _parallel
@@ -31,7 +31,7 @@ from .errors import (
     OutOfRangeError,
     UndefinedDiameterError,
 )
-from .systems import SystemSpec, iterate
+from .systems import SystemSpec, step
 from .uniform import COMPARISON_SLACK, Entourage
 
 __all__ = [
@@ -96,30 +96,27 @@ def image_successors(d: Entourage, image: Sequence[float]) -> tuple[int, ...]:
     if d.scale is not None:
         idx = space.nearest_index(image)
         if space.distance(image, space.points[idx]) <= COMPARISON_SLACK:
+            # not redundant: a ball of width >= 1/2 on the circle is a full scan
             return tuple(sorted(d.rows[idx]))
         return tuple(space.indices_within(image, d.scale))
     idx = space.nearest_index(image)
     return tuple(sorted(d.rows[idx]))
 
 
-def build_transition_graph(
-    system: SystemSpec, d: Entourage, power: int = 1
-) -> TransitionGraph:
-    """Transition graph with edge x -> y iff (f^power(x), y) is in D.
+def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
+    """Transition graph with edge x -> y iff (f(x), y) is in D.
 
-    Images are exact ``power``-fold iterates; the default builds the graph
-    of f itself.
+    Images are exact; the system of an iterate f^k uses k-fold images.
     """
     if d.space != system.space:
         raise IncompatibleSpaceError("entourage is over a different space")
     space = system.space
 
     def row(x: int) -> tuple[int, ...]:
-        image = iterate(system, space.points[x], power)
-        return image_successors(d, image)
+        return image_successors(d, step(system, space.points[x]))
 
     rows = _parallel.ordered_map(row, range(space.n))
-    label = d.label if power == 1 else f"{d.label}|f^{power}"
+    label = d.label if system.power == 1 else f"{d.label}|f^{system.power}"
     return TransitionGraph(space.n, tuple(rows), (system.name, label))
 
 
@@ -257,7 +254,7 @@ def is_totally_chain_transitive(
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
     return all(
-        is_chain_transitive(build_transition_graph(system, d, power=k))
+        is_chain_transitive(build_transition_graph(replace(system, power=k * system.power), d))
         for k in range(1, n_max + 1)
     )
 

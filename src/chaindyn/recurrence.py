@@ -4,10 +4,12 @@ the restriction-to-Omega shadowing comparison.
 
 The paper-level objects here are infinite-time sets; everything this
 module computes is a certificate at a declared horizon and scale, and all
-reports carry them.  Membership of an exact iterate in a set of grid
-indices uses one documented rule throughout: snap to the nearest grid
-point (ties to the smaller index) and accept when the snap distance is at
-most h/2.
+reports carry them.  Return times and the non-wandering estimate place
+an exact iterate in a set of grid indices by one snap rule: take the
+nearest grid point (ties to the smaller index) and accept it when the
+snap distance is at most h/2.  The omega-limit estimate instead takes
+every grid point in the closed h/2 ball of each iterate, so an iterate at
+an exact midpoint contributes both neighbours.
 
 Recurrent points have no dedicated operation: detection is implicit via
 ``return_times(system, {x}, U, horizon)`` with U a ball at x.  The chain
@@ -212,7 +214,8 @@ def omega_limit(
 ) -> tuple[int, ...]:
     """Grid points within h/2 of some iterate f^n(x), transient <= n <= horizon.
 
-    A finite-horizon outer estimate of the omega-limit set of x.
+    A finite-horizon outer estimate of the omega-limit set of x.  Every
+    point of the closed h/2 ball counts, not only the nearest one.
     """
     space = system.space
     if not 0 <= x < space.n:

@@ -27,10 +27,9 @@ proof, and every report says so.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from . import _parallel
 from .chaingraph import graph_from_edges, image_successors, strongly_connected_components
 from .errors import (
     DiscretizationTooCoarseError,
@@ -38,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
 )
-from .systems import SystemSpec, grid_permutation, iterate, step
+from .systems import SystemSpec, grid_permutation, step
 from .uniform import (
     COMPARISON_SLACK,
     Entourage,
@@ -154,9 +153,8 @@ def generate_pseudo_orbit(
     start: int | None = None,
     target: int | None = None,
     allowed: Iterable[int] | None = None,
-    power: int = 1,
 ) -> PseudoOrbit:
-    """A seeded (D, f^power)-pseudo-orbit of ``length`` steps.
+    """A seeded (D, f)-pseudo-orbit of ``length`` steps.
 
     Uniform mode picks each successor uniformly from D[f(x_i)] on the
     grid.  Adversarial-drift picks the legal successor closest to a target
@@ -191,7 +189,7 @@ def generate_pseudo_orbit(
     chosen: list[int] = []
     x = start
     for i in range(length):
-        image = iterate(system, space.points[x], power)
+        image = step(system, space.points[x])
         succ = [y for y in image_successors(d, image) if y in allowed_set]
         if not succ:
             raise DiscretizationTooCoarseError(
@@ -207,13 +205,11 @@ def generate_pseudo_orbit(
     return PseudoOrbit(tuple(states), d.label, seed, tuple(chosen))
 
 
-def verify_pseudo_orbit(
-    orbit: PseudoOrbit, system: SystemSpec, d: Entourage, power: int = 1
-) -> bool:
+def verify_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec, d: Entourage) -> bool:
     """Re-check every step of an orbit against the D-membership predicate."""
     space = system.space
     for i in range(orbit.horizon):
-        image = iterate(system, space.points[orbit.states[i]], power)
+        image = step(system, space.points[orbit.states[i]])
         if not entourage_holds(d, image, orbit.states[i + 1]):
             return False
     return True
@@ -225,40 +221,33 @@ def find_shadow_point(
     system: SystemSpec,
     *,
     candidates: Iterable[int] | None = None,
-    power: int = 1,
 ) -> ShadowReport:
     """Exhaustive search for a grid point whose exact orbit E-shadows the orbit.
 
     Candidates are scanned in ascending index order and the first
     full-horizon witness is returned, so witnesses are deterministic.  A
-    negative report records the best partial candidate and its first
-    failure step; on spaces small enough to scan fully it means no grid
-    point shadows.
+    negative report records the first candidate with the latest failure
+    step, and that step; on spaces small enough to scan fully it means no
+    grid point shadows.
     """
     if e.space != system.space:
         raise IncompatibleSpaceError("entourage is over a different space")
     space = system.space
-    cand = sorted(candidates) if candidates is not None else list(range(space.n))
     T = orbit.horizon
-
-    def first_failure(y: int) -> int | None:
-        coords = space.points[y]
-        for i in range(T + 1):
-            if not entourage_holds(e, coords, orbit.states[i]):
-                return i
-            if i < T:
-                coords = iterate(system, coords, power)
-        return None
-
-    results = _parallel.ordered_map(first_failure, cand)
     best_y: int | None = None
-    best_step = -1
-    for y, fail in zip(cand, results):
-        if fail is None:
+    best_step: int | None = None
+    for y in sorted(candidates) if candidates is not None else range(space.n):
+        coords = space.points[y]
+        for i, x in enumerate(orbit.states):
+            if not entourage_holds(e, coords, x):
+                break
+            if i < T:
+                coords = step(system, coords)
+        else:
             return ShadowReport(True, y, T, e.label, None, None)
-        if fail > best_step:
-            best_y, best_step = y, fail
-    return ShadowReport(False, None, T, e.label, best_step if best_y is not None else None, best_y)
+        if best_step is None or i > best_step:
+            best_y, best_step = y, i
+    return ShadowReport(False, None, T, e.label, best_step, best_y)
 
 
 def candidate_levels(basis: UniformityBasis) -> list[Entourage]:
@@ -285,15 +274,16 @@ def estimate_shadowing_modulus(
     seed: int,
     *,
     allowed: Iterable[int] | None = None,
-    power: int = 1,
 ) -> ShadowingModulusReport:
     """Scan basis levels coarse-to-fine for a level whose pseudo-orbits all shadow.
 
     Per level, one deterministic adversarial-drift orbit plus ``trials``
     seeded uniform orbits are generated and searched exhaustively; the
-    first level with zero failures is returned.  If every candidate level
-    fails, the finest level's failing orbit is returned as the
-    counterexample.  The result is sampled evidence, not a proof.
+    first level with zero failures is returned.  A level where a walk
+    dead-ends (:class:`DiscretizationTooCoarseError`) gives no evidence and
+    is skipped.  If no level passes, the finest failing level's orbit is
+    returned as the counterexample.  The result is sampled evidence, not a
+    proof.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
@@ -302,45 +292,23 @@ def estimate_shadowing_modulus(
     scanned = []
     last_failure: PseudoOrbit | None = None
     last_mode: str | None = None
+    runs = [(MODE_DRIFT, seed)] + [(MODE_UNIFORM, seed * 1_000_003 + t) for t in range(trials)]
     for lvl in levels:
         scanned.append(lvl.label)
-        failure = None
-        mode_of_failure = None
         try:
-            drift = generate_pseudo_orbit(
-                system, lvl, length, seed, MODE_DRIFT, allowed=pool, power=power
-            )
+            for mode, orbit_seed in runs:
+                orbit = generate_pseudo_orbit(
+                    system, lvl, length, orbit_seed, mode, allowed=pool
+                )
+                if not find_shadow_point(orbit, e, system, candidates=pool).shadowed:
+                    last_failure, last_mode = orbit, mode
+                    break
+            else:
+                return ShadowingModulusReport(
+                    True, lvl, None, None, tuple(scanned), trials, length
+                )
         except DiscretizationTooCoarseError:
-            continue  # level unusable at this resolution
-        if not find_shadow_point(
-            orbit=drift, e=e, system=system, candidates=pool, power=power
-        ).shadowed:
-            failure, mode_of_failure = drift, MODE_DRIFT
-        if failure is None:
-            try:
-                for t in range(trials):
-                    orbit = generate_pseudo_orbit(
-                        system,
-                        lvl,
-                        length,
-                        seed * 1_000_003 + t,
-                        MODE_UNIFORM,
-                        allowed=pool,
-                        power=power,
-                    )
-                    report = find_shadow_point(
-                        orbit=orbit, e=e, system=system, candidates=pool, power=power
-                    )
-                    if not report.shadowed:
-                        failure, mode_of_failure = orbit, MODE_UNIFORM
-                        break
-            except DiscretizationTooCoarseError:
-                continue  # restricted walks can dead-end; level gives no evidence
-        if failure is None:
-            return ShadowingModulusReport(
-                True, lvl, None, None, tuple(scanned), trials, length
-            )
-        last_failure, last_mode = failure, mode_of_failure
+            continue
     return ShadowingModulusReport(
         False, None, last_failure, last_mode, tuple(scanned), trials, length
     )
@@ -365,7 +333,7 @@ def iterate_shadowing_check(
         raise InvalidParameterError("n must be >= 1")
     base = estimate_shadowing_modulus(system, e, basis, trials, length, seed)
     powered = estimate_shadowing_modulus(
-        system, e, basis, trials, length, seed, power=n
+        replace(system, power=n * system.power), e, basis, trials, length, seed
     )
     return IterateConsistencyReport(
         power=n,
@@ -422,9 +390,7 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
     return IsobasismReport(mode, tuple(levels))
 
 
-def export_pseudo_orbit(
-    orbit: PseudoOrbit, system: SystemSpec, power: int = 1
-) -> str:
+def export_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec) -> str:
     """Plain-text record: header plus one ``index image-coords chosen-index`` line per step."""
     lines = [
         "# chaindyn pseudo-orbit v1",
@@ -434,7 +400,7 @@ def export_pseudo_orbit(
     ]
     space = system.space
     for i in range(orbit.horizon):
-        image = iterate(system, space.points[orbit.states[i]], power)
+        image = step(system, space.points[orbit.states[i]])
         coords = ",".join(repr(c) for c in image)
         lines.append(f"{orbit.states[i]} {coords} {orbit.states[i + 1]}")
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Any, Sequence
 
 import yaml
@@ -65,7 +66,11 @@ _REQUIRED_GEOMETRY = {
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A named dynamical system: a phase space plus an exactly computable map."""
+    """A named dynamical system: a phase space plus an exactly computable map.
+
+    ``power`` k makes the system the iterate (X, f^k) of the catalog map f;
+    ``dataclasses.replace(system, power=k)`` builds it from the system of f.
+    """
 
     name: str
     kind: MapKind
@@ -73,8 +78,11 @@ class SystemSpec:
     params: tuple[float, ...] = ()
     permutation: tuple[int, ...] | None = None
     levels: int | None = None
+    power: int = 1
 
     def __post_init__(self) -> None:
+        if self.power < 1:
+            raise InvalidParameterError("power must be >= 1")
         kind = self.kind
         if kind in _REQUIRED_GEOMETRY and self.space.geometry != _REQUIRED_GEOMETRY[kind]:
             raise ValidationError(
@@ -121,8 +129,8 @@ class MapEvaluation:
     nearest_index: int
 
 
-def step(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
-    """One exact application of the system's map to a coordinate vector."""
+def _apply(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
+    """One exact application of the catalog map f, whatever the system's power."""
     kind = system.kind
     if kind == MapKind.IDENTITY:
         return tuple(coords)
@@ -143,10 +151,16 @@ def step(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
     return system.space.points[system.permutation[idx]]
 
 
+def step(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
+    """One exact application of the system's map f^power to a coordinate vector."""
+    return iterate(system, coords, 1)
+
+
 def iterate(system: SystemSpec, coords: Sequence[float], n: int) -> tuple[float, ...]:
-    """n-fold exact image of a coordinate vector (n >= 0)."""
+    """n-fold exact image under f^power (n >= 0): n * power applications of f."""
     if n < 0:
         raise InvalidParameterError("iterations must be >= 0")
+    n *= system.power
     if system.permutation is not None and n > 0:
         idx = system.space.nearest_index(coords)
         for _ in range(n):
@@ -154,7 +168,7 @@ def iterate(system: SystemSpec, coords: Sequence[float], n: int) -> tuple[float,
         return system.space.points[idx]
     out = tuple(coords)
     for _ in range(n):
-        out = step(system, out)
+        out = _apply(system, out)
     return out
 
 
@@ -176,7 +190,7 @@ def grid_permutation(system: SystemSpec) -> tuple[int, ...] | None:
     Returns None unless every one-step image lands within 1e-9 of a grid
     point and the induced index map is a bijection.
     """
-    if system.permutation is not None:
+    if system.permutation is not None and system.power == 1:
         return system.permutation
     space = system.space
     images = []
@@ -358,20 +372,27 @@ def _space_from_points(raw_points: Any, geometry: Geometry) -> FinitePhaseSpace:
         tuple(_typed(c, float, "points coordinate") for c in (p if isinstance(p, list) else [p]))
         for p in _typed(raw_points, list, "points")
     )
-    if len(tup) == 1:
-        gap = 1.0 if geometry == Geometry.DISCRETE else None
-        return FinitePhaseSpace(tup, geometry, 1.0, gap=gap)
-    # resolution of an explicit point list: its minimum positive separation
-    probe = FinitePhaseSpace(tup, geometry, 1.0, gap=None)
-    dists = [
-        d
-        for i, a in enumerate(tup)
-        for b in tup[i + 1 :]
-        if (d := probe.distance(a, b)) > 0
-    ]
-    h = min(dists) if dists else 1.0
+    h = _separation(tup, geometry)
     gap = h if geometry == Geometry.DISCRETE else None
     return FinitePhaseSpace(tup, geometry, h, gap=gap)
+
+
+def _separation(points: tuple[tuple[float, ...], ...], geometry: Geometry) -> float:
+    """Minimum positive distance between two of ``points`` (1.0 when there is none).
+
+    On a line the minimum lies between neighbours in sorted order, and
+    rounding is monotone, so that pass gives the pair scan's value exactly.
+    The circle keeps the scan: a distance taken around the wrap,
+    ``1 - |a - b|``, rounds differently, so sorted neighbours can miss the
+    scan's minimum in the last bit.
+    """
+    probe = FinitePhaseSpace(points, geometry, 1.0)
+    if geometry.wraps or probe.dimension > 1:
+        pairs = combinations(points, 2)
+    else:
+        ordered = sorted(points)
+        pairs = zip(ordered, ordered[1:])
+    return min((d for a, b in pairs if (d := probe.distance(a, b)) > 0), default=1.0)
 
 
 def _build_space(doc: dict[str, Any], geometry: Geometry) -> FinitePhaseSpace:

@@ -137,14 +137,59 @@ def random_strongly_connected(rng: random.Random, n_max: int = 12) -> Transition
     return graph_from_edges(n, edges)
 
 
-def path_is_chain(system, d, states, power: int = 1) -> bool:
+def path_is_chain(system, d, states) -> bool:
     """Definition unrolling: (f(x_i), x_{i+1}) in D for every step."""
     from chaindyn.shadowing import entourage_holds
     from chaindyn.systems import iterate
 
     space = system.space
     for a, b in zip(states, states[1:]):
-        image = iterate(system, space.points[a], power)
+        image = iterate(system, space.points[a], 1)
         if not entourage_holds(d, image, b):
             return False
     return True
+
+
+def resolution_bruteforce(points, geometry) -> float:
+    """Minimum positive pairwise distance of a point list (1.0 if none), by a full scan."""
+    from chaindyn import FinitePhaseSpace
+
+    probe = FinitePhaseSpace(tuple(points), geometry, 1.0)
+    dists = [
+        d
+        for i, a in enumerate(probe.points)
+        for b in probe.points[i + 1 :]
+        if (d := probe.distance(a, b)) > 0
+    ]
+    return min(dists) if dists else 1.0
+
+
+def shadow_bruteforce(orbit, e, system, candidates=None):
+    """Shadow search that scores every candidate before it picks one.
+
+    Each candidate gets its first failure step (None for a full-horizon
+    witness).  The report names the first witness in index order or, when
+    there is none, the first candidate with the latest failure step.
+    """
+    from chaindyn.shadowing import ShadowReport, entourage_holds
+    from chaindyn.systems import iterate
+
+    space = system.space
+    T = orbit.horizon
+    scores = {}
+    for y in sorted(candidates) if candidates is not None else range(space.n):
+        coords, fail = space.points[y], None
+        for i, x in enumerate(orbit.states):
+            if not entourage_holds(e, coords, x):
+                fail = i
+                break
+            coords = iterate(system, coords, 1)
+        scores[y] = fail
+    witnesses = [y for y, fail in scores.items() if fail is None]
+    if witnesses:
+        return ShadowReport(True, witnesses[0], T, e.label, None, None)
+    if not scores:
+        return ShadowReport(False, None, T, e.label, None, None)
+    latest = max(scores.values())
+    best = next(y for y, fail in scores.items() if fail == latest)
+    return ShadowReport(False, None, T, e.label, latest, best)

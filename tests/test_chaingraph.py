@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -220,7 +221,7 @@ class TestCyclicClasses:
         # same scale restricts to each class and is strongly connected there
         s = rotation_system(0.5, 2)
         e = make_epsilon_entourage(s.space, 0.2)
-        g2 = build_transition_graph(s, e, power=2)
+        g2 = build_transition_graph(replace(s, power=2), e)
         assert g2.succ == ((0,), (1,))  # f^2 = identity, per-class loops
 
 

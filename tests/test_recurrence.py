@@ -177,6 +177,11 @@ class TestOmegaLimit:
         with pytest.raises(InvalidParameterError):
             omega_limit(s, 0, 20, 20)
 
+    def test_midpoint_iterate_takes_the_whole_half_ball(self):
+        # f(0.5) = 0.25 lies exactly between grid points 0 and 0.5; the closed
+        # h/2 ball holds both, where a nearest-point snap would keep only 0
+        assert omega_limit(square_system(3), 1, 1, 2) == (0, 1)
+
 
 class TestOmegaRestriction:
     def test_cantor_identity_agrees(self):

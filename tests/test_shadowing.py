@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaindyn import (
     DiscretizationTooCoarseError,
     Entourage,
+    PseudoOrbit,
     UniformityBasis,
+    build_transition_graph,
     cantor_space,
     catalog_systems,
     diagonal_entourage,
@@ -28,6 +34,9 @@ from chaindyn import (
     verify_pseudo_orbit,
 )
 from chaindyn.shadowing import candidate_levels, entourage_holds
+from oracles import shadow_bruteforce
+
+CATALOG = {n: catalog_systems(n) for n in (8, 16)}
 
 
 class TestGeneration:
@@ -97,9 +106,11 @@ class TestGeneration:
         orbit = generate_pseudo_orbit(s, d, 8, seed=13, mode="uniform")
         monkeypatch.setenv("CHAINDYN_THREADS", "1")
         single = find_shadow_point(orbit, e, s)
+        single_graph = build_transition_graph(s, d)
         monkeypatch.setenv("CHAINDYN_THREADS", "8")
         pooled = find_shadow_point(orbit, e, s)
         assert single == pooled
+        assert build_transition_graph(s, d) == single_graph
 
     def test_restriction_to_allowed_set(self):
         s = identity_system(interval_grid(21))
@@ -182,6 +193,29 @@ class TestFindShadowPoint:
             report = find_shadow_point(orbit, e, s)
             assert report.shadowed
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_score_every_candidate_oracle(self, data):
+        n = data.draw(st.sampled_from(sorted(CATALOG)))
+        system = replace(data.draw(st.sampled_from(CATALOG[n])), power=data.draw(st.integers(1, 2)))
+        space = system.space
+        e = make_epsilon_entourage(
+            space, data.draw(st.sampled_from([0.5, 0.25, 0.125, 2 * space.resolution]))
+        )
+        if data.draw(st.booleans()):
+            states = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+            orbit = PseudoOrbit(tuple(states), "random", None, tuple(states[1:]))
+        else:
+            scale = data.draw(st.sampled_from([1, 2, 4])) * space.resolution
+            d = make_epsilon_entourage(space, scale)
+            mode = data.draw(st.sampled_from(["uniform", "adversarial-drift"]))
+            orbit = generate_pseudo_orbit(
+                system, d, data.draw(st.integers(1, 8)), data.draw(st.integers(0, 99)), mode
+            )
+        candidates = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
+        got = find_shadow_point(orbit, e, system, candidates=candidates)
+        assert got == shadow_bruteforce(orbit, e, system, candidates)
+
     def test_monotone_in_the_target_entourage(self):
         # E-shadowed implies E'-shadowed for any coarser E'
         s = doubling_system(32)
@@ -235,6 +269,29 @@ class TestModulusEstimate:
         )
         assert not report.found
         assert report.note.startswith("sampled evidence")
+
+    def test_dead_ended_uniform_walk_skips_the_level(self):
+        # 0 is fixed and 1 -> 2 -> 3 -> 1, with walks confined to {0, 1}.  At
+        # scale 2 every walk stays inside and the drift orbit 0, 1, 1, ...
+        # has no 0.1-shadow: a failure.  At scale 0.1 the drift orbit stays at
+        # 0 and shadows, but a uniform walk from 1 has no successor: a skip,
+        # which leaves the coarse failure as the counterexample.
+        s = permutation_system([[0], [1, 2, 3]], 4)
+        sp = s.space
+        coarse, fine = make_epsilon_entourage(sp, 2.0), make_epsilon_entourage(sp, 0.1)
+        basis = UniformityBasis((coarse, fine, diagonal_entourage(sp)))
+        e = make_epsilon_entourage(sp, 0.1)
+        drift = generate_pseudo_orbit(s, fine, 6, 3, "adversarial-drift", allowed={0, 1})
+        assert find_shadow_point(drift, e, s, candidates={0, 1}).shadowed
+        with pytest.raises(DiscretizationTooCoarseError):
+            generate_pseudo_orbit(s, fine, 6, 3, "uniform", start=1, allowed={0, 1})
+        report = estimate_shadowing_modulus(
+            s, e, basis, trials=8, length=6, seed=3, allowed={0, 1}
+        )
+        assert not report.found
+        assert report.levels_scanned == (coarse.label, fine.label)
+        assert report.counterexample_mode == "adversarial-drift"
+        assert report.counterexample.entourage_label == coarse.label
 
     def test_sub_resolution_levels_excluded_on_grids(self):
         sp = interval_grid(101)

@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaindyn import (
     GOLDEN_ALPHA,
+    Geometry,
+    InvalidParameterError,
     MalformedSpecError,
     MapKind,
     ValidationError,
@@ -20,7 +26,8 @@ from chaindyn import (
     step,
     tent_system,
 )
-from chaindyn.systems import grid_permutation, load_analysis_defaults
+from chaindyn.systems import _separation, grid_permutation, load_analysis_defaults
+from oracles import resolution_bruteforce
 
 
 class TestEvaluate:
@@ -67,6 +74,27 @@ class TestEvaluate:
                 joined = evaluate(system, x, m + n).image
                 chained = iterate(system, iterate(system, system.space.points[x], m), n)
                 assert system.space.distance(joined, chained) <= 1e-9 * (m + n)
+
+
+class TestIteratedSystem:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_power_k_is_k_fold_iterate_bit_for_bit(self, k):
+        for system in catalog_systems(16):
+            powered = replace(system, power=k)
+            for p in system.space.points:
+                for m in (0, 1, 5):
+                    assert iterate(powered, p, m) == iterate(system, p, k * m), system.name
+                assert step(powered, p) == iterate(system, p, k), system.name
+
+    def test_power_must_be_positive(self):
+        for bad in (0, -1):
+            with pytest.raises(InvalidParameterError):
+                replace(doubling_system(8), power=bad)
+
+    def test_grid_permutation_of_an_iterate_is_the_composed_permutation(self):
+        s = permutation_system([[0, 1, 2], [3, 4]], 5)
+        perm = s.permutation
+        assert grid_permutation(replace(s, power=2)) == tuple(perm[perm[i]] for i in range(5))
 
 
 class TestValidation:
@@ -272,6 +300,27 @@ class TestSpecFiles:
             "analysis:\n  seed: 9\n  horizon: 50\n"
         )
         assert load_analysis_defaults(str(p)) == {"seed": 9, "horizon": 50}
+
+
+class TestExplicitListResolution:
+    @given(
+        coords=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 0.21, 0.77, 0.5]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=30,
+        ),
+        geometry=st.sampled_from([Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_scan(self, coords, geometry):
+        points = tuple((c,) for c in coords)
+        assert _separation(points, geometry) == resolution_bruteforce(points, geometry)
+
+    def test_circle_keeps_the_scan_value(self):
+        # sorted neighbours give 0.21; the wrap pair (1.0, 0.21) gives one bit less
+        points = ((0.0,), (0.21,), (1.0,), (0.77,))
+        assert _separation(points, Geometry.CIRCLE) == 0.20999999999999996
+        assert _separation(points, Geometry.INTERVAL) == 0.21
 
 
 class TestCatalog:

@@ -250,6 +250,22 @@ class TestComposition:
         )
         assert relation_pairs(compose(e, g)) <= relation_pairs(compose(ef, g))
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_square_is_subset_matches_the_composite(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        s = discrete_grid(n)
+
+        def rand_relation(label):
+            pairs = data.draw(
+                st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n)
+            )
+            return Entourage.from_pairs(s, pairs, label, close=data.draw(st.booleans()))
+
+        d, e = rand_relation("d"), rand_relation("e")
+        assert d.square_is_subset(e) == compose(d, d).is_subset(e)
+        assert d.square_is_subset(compose(d, d))
+
 
 class TestCrossSection:
     def test_diagonal(self):

@@ -1,10 +1,16 @@
-"""Optional thread fan-out, capped by the CHAINDYN_THREADS environment variable."""
+"""The CHAINDYN_THREADS setting and the map that graph construction runs through.
+
+Graph construction runs in the calling thread: on a 2-core machine a thread
+pool measured slower at 2 and 8 threads than at 1.  The variable is still
+read, and ``perfbench/run.py`` records :func:`thread_count`, but it changes
+no work.  :func:`ordered_map` stays a named function because
+``perfbench/tracer.py`` wraps it and counts its calls.
+"""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 ENV_VAR = "CHAINDYN_THREADS"
 
@@ -21,15 +27,5 @@ def thread_count() -> int:
 
 
 def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-    """map() preserving input order, fanned out over CHAINDYN_THREADS workers.
-
-    Work items must be independent and side-effect free; results are then
-    identical for every thread count, which is what keeps reports
-    byte-stable across 1 vs N threads.
-    """
-    seq: Sequence[_T] = list(items)
-    workers = thread_count()
-    if workers == 1 or len(seq) <= 1:
-        return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    """map() as a list, in input order and in the calling thread."""
+    return [fn(item) for item in items]

@@ -93,14 +93,12 @@ def image_successors(d: Entourage, image: Sequence[float]) -> tuple[int, ...]:
     literal pair membership.
     """
     space = d.space
-    if d.scale is not None:
-        idx = space.nearest_index(image)
-        if space.distance(image, space.points[idx]) <= COMPARISON_SLACK:
-            # not redundant: a ball of width >= 1/2 on the circle is a full scan
-            return tuple(sorted(d.rows[idx]))
-        return tuple(space.indices_within(image, d.scale))
     idx = space.nearest_index(image)
-    return tuple(sorted(d.rows[idx]))
+    # the on-grid fast path is not redundant for metric entourages: a ball of
+    # width >= 1/2 on the circle is a full scan
+    if d.scale is None or space.distance(image, space.points[idx]) <= COMPARISON_SLACK:
+        return tuple(sorted(d.rows[idx]))
+    return tuple(space.indices_within(image, d.scale))
 
 
 def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
@@ -264,28 +262,31 @@ def chain_diameter(g: TransitionGraph) -> int:
 
     For a pair (x, x) the length of the shortest cycle through x is used.
     Defined only for chain transitive graphs.
+
+    A bit-parallel BFS: ``reach[v]`` holds the sources with a walk of
+    length 1..rounds ending at v; the diameter is the first round that
+    fills every mask.
     """
-    best = 0
-    for src in range(g.n):
-        # lengths of shortest paths of length >= 1, so dist[src] is the shortest cycle
-        dist = [math.inf] * g.n
-        frontier = [src]
-        length = 0
-        while frontier:
-            length += 1
-            nxt = []
-            for u in frontier:
-                for v in g.succ[u]:
-                    if dist[v] == math.inf:
-                        dist[v] = length
-                        nxt.append(v)
-            frontier = nxt
-        best = max(best, *dist)
-        if best == math.inf:
-            break
-    if not 0 < best < math.inf:
-        raise UndefinedDiameterError("diameter is undefined: graph is not chain transitive")
-    return best
+    preds: list[list[int]] = [[] for _ in range(g.n)]
+    reach = [0] * g.n
+    for u, row in enumerate(g.succ):
+        for v in row:
+            preds[v].append(u)
+            reach[v] |= 1 << u
+    full = (1 << g.n) - 1
+    rounds = 1
+    # an empty graph (n = 0) enters once, meets its fixed point and raises
+    while not reach or any(r != full for r in reach):
+        nxt = []
+        for r, p in zip(reach, preds):
+            for u in p:
+                r |= reach[u]
+            nxt.append(r)
+        if nxt == reach:
+            raise UndefinedDiameterError("diameter is undefined: graph is not chain transitive")
+        reach = nxt
+        rounds += 1
+    return rounds
 
 
 def _successor_masks(g: TransitionGraph) -> list[int]:

@@ -4,7 +4,8 @@ Reports come in two formats: ``text`` (stable human summary) and
 ``machine`` (canonical JSON, schema documented in the README, suitable for
 golden-file testing).  Identical requests with identical seeds produce
 byte-identical machine reports, across runs and across thread counts
-(``CHAINDYN_THREADS``); no timestamps are embedded anywhere.
+(``CHAINDYN_THREADS``, which no longer changes the work: everything runs
+in one thread); no timestamps are embedded anywhere.
 
 Negative mathematical findings ("not chain mixing", "no modulus found")
 exit 0: the tool reports, it does not judge.  Module errors exit nonzero

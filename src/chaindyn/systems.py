@@ -38,6 +38,7 @@ from .uniform import (
     MAX_POINTS,
     FinitePhaseSpace,
     Geometry,
+    _check_grid_size,
     circle_grid,
     discrete_grid,
     interval_grid,
@@ -142,13 +143,9 @@ def _apply(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
         slope = system.params[0]
         c = coords[0]
         return (slope * c if c <= 0.5 else slope * (1.0 - c),)
-    if kind == MapKind.SQUARE:
-        return (coords[0] * coords[0],)
-    # Permutation-backed maps are defined on grid points; arbitrary coords
-    # snap to the nearest grid point first.
-    assert system.permutation is not None
-    idx = system.space.nearest_index(coords)
-    return system.space.points[system.permutation[idx]]
+    # the square map; permutation-backed kinds never get here, since iterate
+    # returns through their stored permutation
+    return (coords[0] * coords[0],)
 
 
 def step(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
@@ -368,9 +365,11 @@ def _typed(value: Any, kind: type, what: str) -> Any:
 
 
 def _space_from_points(raw_points: Any, geometry: Geometry) -> FinitePhaseSpace:
+    points = _typed(raw_points, list, "points")
+    _check_grid_size(len(points))
     tup = tuple(
         tuple(_typed(c, float, "points coordinate") for c in (p if isinstance(p, list) else [p]))
-        for p in _typed(raw_points, list, "points")
+        for p in points
     )
     h = _separation(tup, geometry)
     gap = h if geometry == Geometry.DISCRETE else None

@@ -306,8 +306,16 @@ class TestDiameter:
             assert chain_diameter(ring(n)) == n
 
     def test_undefined_for_non_transitive(self):
-        with pytest.raises(UndefinedDiameterError):
-            chain_diameter(graph_from_edges(2, [(0, 1)]))
+        for g in (graph_from_edges(2, [(0, 1)]), graph_from_edges(0, [])):
+            with pytest.raises(UndefinedDiameterError):
+                chain_diameter(g)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("scale", [0.5, 1, 2, 4])
+    def test_catalog_graphs_match_networkx(self, n, scale):
+        for s in catalog_systems(n):
+            e = make_epsilon_entourage(s.space, scale * s.space.resolution)
+            assert_diameter_matches_networkx(build_transition_graph(s, e))
 
     def test_golden_rotation_against_dp_oracle(self):
         s = rotation_system(GOLDEN_ALPHA, 64)
@@ -539,11 +547,25 @@ def test_one_pass_analysis_matches_networkx(case):
                 if v in position:
                     assert position[v] == (position[u] + 1) % period
 
-    if not analysis.transitive:
+    assert_diameter_matches_networkx(g)
+
+
+def assert_diameter_matches_networkx(g):
+    # the longest shortest walk of length >= 1 over ordered pairs, from all-pairs
+    # shortest paths; undefined when some pair has no such walk
+    nx = pytest.importorskip("networkx")
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+    cycles = [
+        min((1 + dist[s].get(x, math.inf) for s in g.succ[x]), default=math.inf)
+        for x in range(g.n)
+    ]
+    pairs = [dist[x].get(y, math.inf) for x in range(g.n) for y in range(g.n) if x != y]
+    expected = max(cycles + pairs, default=math.inf)
+    if expected == math.inf:
         with pytest.raises(UndefinedDiameterError):
             chain_diameter(g)
-        return
-    dist = dict(nx.all_pairs_shortest_path_length(G))
-    cycles = [min(1 + dist[s][x] for s in g.succ[x]) for x in range(n)]
-    pairs = [dist[x][y] for x in range(n) for y in range(n) if x != y]
-    assert chain_diameter(g) == max(cycles + pairs)
+    else:
+        assert chain_diameter(g) == expected

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import time
 from pathlib import Path
 
@@ -387,6 +388,13 @@ class TestErrorsAndDefaults:
         assert _parallel.thread_count() == 1
         monkeypatch.setenv("CHAINDYN_THREADS", "3")
         assert _parallel.thread_count() == 3
+
+    def test_ordered_map_runs_in_the_calling_thread(self, monkeypatch):
+        from chaindyn import _parallel
+
+        monkeypatch.setenv("CHAINDYN_THREADS", "8")
+        caller = threading.get_ident()
+        assert _parallel.ordered_map(lambda _: threading.get_ident(), range(16)) == [caller] * 16
 
     def test_epsilon_defaults_to_twice_resolution(self, doubling_spec, capsys):
         _, out = run_cli(

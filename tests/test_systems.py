@@ -10,6 +10,7 @@ from chaindyn import (
     InvalidParameterError,
     MalformedSpecError,
     MapKind,
+    ResourceLimitError,
     ValidationError,
     cantor_space,
     catalog_systems,
@@ -27,6 +28,7 @@ from chaindyn import (
     tent_system,
 )
 from chaindyn.systems import _separation, grid_permutation, load_analysis_defaults
+from chaindyn.uniform import MAX_POINTS
 from oracles import resolution_bruteforce
 
 
@@ -276,6 +278,19 @@ class TestSpecFiles:
         s = load_system(str(p))
         assert s.space.n == 3
         assert s.space.resolution == pytest.approx(0.4)
+
+    def test_explicit_points_are_capped(self, tmp_path):
+        def doc(points):
+            return {"name": "pts", "map": "identity", "geometry": "discrete", "points": points}
+
+        path = str(tmp_path / "pts.yaml")
+        at_cap = [k / (MAX_POINTS - 1) for k in range(MAX_POINTS)]
+        assert load_system(path, document=doc(at_cap)).space.n == MAX_POINTS
+        with pytest.raises(ResourceLimitError):
+            load_system(path, document=doc(at_cap + [0.5]))
+        # refused before any coordinate is converted
+        with pytest.raises(ResourceLimitError):
+            load_system(path, document=doc(["not a number"] * (MAX_POINTS + 1)))
 
     def test_permutation_cycles(self, tmp_path):
         p = tmp_path / "perm.yaml"

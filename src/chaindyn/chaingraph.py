@@ -32,7 +32,7 @@ from .errors import (
     UndefinedDiameterError,
 )
 from .systems import SystemSpec, step
-from .uniform import COMPARISON_SLACK, Entourage
+from .uniform import COMPARISON_SLACK, Entourage, arc_indices
 
 __all__ = [
     "TransitionGraph",
@@ -85,17 +85,18 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], source=("", "")) 
 
 
 def image_successors(d: Entourage, image: Sequence[float]) -> tuple[int, ...]:
-    """Grid indices D-reachable from an exact image point.
+    """Grid indices D-reachable from an exact image point, ascending.
 
-    Metric entourages use the ball of radius ``d.scale`` around the image
-    (with the on-grid fast path reusing the precomputed relation row);
-    explicit relations snap the image to its nearest grid point and use
-    literal pair membership.
+    Metric entourages use the ball of radius ``d.scale`` around the image,
+    read as an index interval on a sorted space; an image on the grid
+    reuses its nearest point's row.  Explicit relations snap the image to
+    its nearest grid point and use literal pair membership.
     """
+    if d.arcs is not None:
+        arc = d.image_arc(image)
+        return () if arc is None else tuple(arc_indices(arc, d.n))
     space = d.space
     idx = space.nearest_index(image)
-    # the on-grid fast path is not redundant for metric entourages: a ball of
-    # width >= 1/2 on the circle is a full scan
     if d.scale is None or space.distance(image, space.points[idx]) <= COMPARISON_SLACK:
         return tuple(sorted(d.rows[idx]))
     return tuple(space.indices_within(image, d.scale))
@@ -240,21 +241,24 @@ def is_chain_mixing(g: TransitionGraph) -> bool:
 
 
 def is_totally_chain_transitive(
-    system: SystemSpec, d: Entourage, n_max: int
+    system: SystemSpec, d: Entourage, n_max: int, *, graph: TransitionGraph | None = None
 ) -> bool:
     """Chain transitivity of the graphs of f, f^2, ..., f^n_max.
 
     A bounded certificate for the unbounded definition: each iterate's
     graph is built from exact n-fold images.  On compact finite models the
     chain-mixing check certifies the full statement; both are computed and
-    compared by the test suite.
+    compared by the test suite.  ``graph``, when given, is the graph of f
+    at D, which is then not built again.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
-    return all(
-        is_chain_transitive(build_transition_graph(replace(system, power=k * system.power), d))
+    graphs = (
+        graph if k == 1 and graph is not None
+        else build_transition_graph(replace(system, power=k * system.power), d)
         for k in range(1, n_max + 1)
     )
+    return all(is_chain_transitive(g) for g in graphs)
 
 
 def chain_diameter(g: TransitionGraph) -> int:

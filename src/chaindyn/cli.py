@@ -174,7 +174,9 @@ def _mixing_stage(req: AnalysisRequest) -> dict[str, Any]:
     analysis = req.analysis
     period = analysis.periods[0] if analysis.transitive else None
     mixing = period == 1
-    totally = is_totally_chain_transitive(req.system, req.entourage, req.n_max)
+    totally = is_totally_chain_transitive(
+        req.system, req.entourage, req.n_max, graph=req.graph
+    )
     return {
         "chain_mixing": mixing,
         "totally_chain_transitive": totally,

@@ -27,6 +27,7 @@ proof, and every report says so.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -44,6 +45,8 @@ from .uniform import (
     FinitePhaseSpace,
     Geometry,
     UniformityBasis,
+    arc_contains,
+    arc_size,
 )
 
 EVIDENCE_NOTE = "sampled evidence over seeded pseudo-orbits; not a proof"
@@ -185,20 +188,46 @@ def generate_pseudo_orbit(
         target = pool[-1]
     target_coords = space.points[target]
 
+    def key(j: int) -> tuple[float, int]:
+        return (space.distance(space.points[j], target_coords), j)
+
+    # On a sorted space with no restriction the successors form one index
+    # interval: uniform mode takes its r-th index in ascending order, and
+    # drift compares only the indices where the distance to the target can
+    # be least inside it: its ends, the target's bisection neighbours, and
+    # the two ends of the list (where the circle closes).
+    by_arc = d.arcs is not None and allowed is None
+    n = space.n
+    if by_arc and mode == MODE_DRIFT:
+        k = bisect_left(space._sorted, target_coords[0])
+        wraps = space.geometry.wraps
+        near = {j % n if wraps else j for j in (k - 1, k)} | {0, n - 1}
+        near = [j for j in near if 0 <= j < n]
+
+    def pick(image: Sequence[float]) -> int | None:
+        if not by_arc:
+            succ = [y for y in image_successors(d, image) if y in allowed_set]
+            if not succ:
+                return None
+            return succ[rng.randrange(len(succ))] if mode == MODE_UNIFORM else min(succ, key=key)
+        arc = d.image_arc(image)
+        if arc is None:
+            return None
+        lo, hi = arc
+        if mode == MODE_UNIFORM:
+            r = rng.randrange(arc_size(arc, n))
+            return lo + r if lo <= hi else (r if r <= hi else lo + r - hi - 1)
+        return min({lo, hi, *(j for j in near if arc_contains(arc, j))}, key=key)
+
     states = [start]
     chosen: list[int] = []
     x = start
     for i in range(length):
-        image = step(system, space.points[x])
-        succ = [y for y in image_successors(d, image) if y in allowed_set]
-        if not succ:
+        y = pick(step(system, space.points[x]))
+        if y is None:
             raise DiscretizationTooCoarseError(
                 f"step {i}: no legal successor inside D[f(x_{i})]"
             )
-        if mode == MODE_UNIFORM:
-            y = succ[rng.randrange(len(succ))]
-        else:
-            y = min(succ, key=lambda j: (space.distance(space.points[j], target_coords), j))
         states.append(y)
         chosen.append(y)
         x = y
@@ -364,9 +393,9 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
         witness: tuple[int, int] | None = None
         for x in range(space.n):
             for y in range(space.n):
-                before = y in lvl.rows[x]
+                before = lvl.contains(x, y)
                 if perm is not None:
-                    after = perm[y] in lvl.rows[perm[x]]
+                    after = lvl.contains(perm[x], perm[y])
                     ok = before == after
                 else:
                     assert images is not None
@@ -378,7 +407,7 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
                     else:
                         fx = space.nearest_index(images[x])
                         fy = space.nearest_index(images[y])
-                        after = fy in lvl.rows[fx]
+                        after = lvl.contains(fx, fy)
                         ok = before == after
                 if not ok:
                     preserved = False

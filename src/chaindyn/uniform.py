@@ -14,8 +14,13 @@ Design notes baked into this module:
   ``1e-12`` is applied to every such comparison because grid coordinates
   are rationals stored as binary floats; legitimate distances differ by at
   least half a grid step, so the slack can never flip a true inequality.
-* Relations are stored per row (one index set per point), which makes
-  composition and cross sections plain set operations.
+* A relation is stored in one of two ways.  An explicit relation keeps one
+  index set per row, which makes composition and cross sections plain set
+  operations.  A metric entourage on a space with sorted 1-D coordinates
+  keeps one cyclic index interval per row instead, since a ball there is a
+  run of consecutive indices (wrapping on the circle); its index sets are
+  built only for callers that ask for them, and the relation queries and
+  the axiom check read the intervals in O(n) per level.
 * Circle distance is ``min(|a-b|, 1-|a-b|)`` per coordinate and product
   geometries take the coordinate-wise max, so an ``eps``-relation composed
   with itself stays inside the ``2*eps``-relation.
@@ -33,6 +38,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -88,8 +94,11 @@ class FinitePhaseSpace:
     gap: float | None = None
     #: Coordinates the point lookups bisect; None unless 1-D and well sorted.
     _sorted: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
+    #: ``geometry.wraps``, read once.
+    _wraps: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_wraps", self.geometry.wraps)
         if not self.points:
             raise InvalidParameterError("a phase space needs at least one point")
         if self.resolution <= 0:
@@ -124,7 +133,7 @@ class FinitePhaseSpace:
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         """Sup-metric distance between two coordinate vectors."""
-        if self.geometry.wraps:
+        if self._wraps:
             best = 0.0
             for x, y in zip(a, b):
                 d = abs(x - y)
@@ -160,21 +169,79 @@ class FinitePhaseSpace:
         return best_i
 
     def indices_within(self, coords: Sequence[float], radius: float) -> list[int]:
-        """All grid indices within ``radius`` of ``coords`` (closed, ascending).
+        """All grid indices within ``radius`` of ``coords`` (closed, ascending)."""
+        if self._sorted is None:
+            bound = radius + COMPARISON_SLACK
+            return [i for i, p in enumerate(self.points) if self.distance(coords, p) <= bound]
+        arc = self.arc_within(coords, radius)
+        return [] if arc is None else arc_indices(arc, self.n)
 
-        A sorted space tests only a slightly wider coordinate window, and on
-        the circle its shifts by +-1 (disjoint from it below width 1/2).
+    def arc_within(self, coords: Sequence[float], radius: float) -> tuple[int, int] | None:
+        """The grid indices within ``radius`` of ``coords`` as one cyclic interval.
+
+        Only for a sorted space.  ``(lo, hi)`` stands for lo..hi, or for
+        lo..n-1 and 0..hi when lo > hi; a ball that holds every point is
+        ``(0, n - 1)`` and an empty ball is None.  Along the indices the
+        distances fall toward ``coords`` and then rise, so the ball is a
+        slightly wider bisected window with both ends trimmed by the closed
+        predicate.  On the circle the window may run past either end of the
+        list: index j then stands for point j mod n one turn away.
         """
+        xs, n, wraps = self._sorted, self.n, self._wraps
         bound = radius + COMPARISON_SLACK
-        xs, width = self._sorted, bound + COMPARISON_SLACK
-        if xs is None or (self.geometry.wraps and width >= 0.5):
-            window: Iterable[int] = range(self.n)
-        else:
-            c = coords[0]
-            shifts = (-1.0, 0.0, 1.0) if self.geometry.wraps else (0.0,)
-            window = [i for s in shifts for i in range(
-                bisect_left(xs, c + s - width), bisect_right(xs, c + s + width))]
-        return [i for i in window if self.distance(coords, self.points[i]) <= bound]
+        if wraps and bound >= 0.5:
+            return (0, n - 1)
+        c, width = coords[0], bound + COMPARISON_SLACK
+        lo = bisect_left(xs, c - width)
+        hi = bisect_right(xs, c + width) - 1
+        if wraps and c - width < 0.0:
+            lo = bisect_left(xs, c - width + 1.0) - n
+        if wraps and c + width > 1.0:
+            hi = bisect_right(xs, c + width - 1.0) - 1 + n
+
+        def far(j: int) -> bool:
+            d = abs(c - xs[j % n])
+            return (min(d, 1.0 - d) if wraps else d) > bound
+
+        while lo <= hi and far(lo):
+            lo += 1
+        while lo <= hi and far(hi):
+            hi -= 1
+        if lo > hi:
+            return None
+        if hi - lo + 1 >= n:
+            return (0, n - 1)
+        return (lo % n, hi % n)
+
+
+def arc_indices(arc: tuple[int, int], n: int) -> list[int]:
+    """The indices of a cyclic interval (see :meth:`FinitePhaseSpace.arc_within`), ascending."""
+    lo, hi = arc
+    return list(range(lo, hi + 1)) if lo <= hi else [*range(hi + 1), *range(lo, n)]
+
+
+def arc_size(arc: tuple[int, int], n: int) -> int:
+    lo, hi = arc
+    return hi - lo + 1 if lo <= hi else n - lo + hi + 1
+
+
+def arc_contains(arc: tuple[int, int], y: int) -> bool:
+    lo, hi = arc
+    return lo <= y <= hi if lo <= hi else (y >= lo or y <= hi)
+
+
+def _arc_subset(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:
+    """Whether cyclic interval a lies inside b (both normalized, as built)."""
+    (a1, a2), (b1, b2) = a, b
+    if (b1, b2) == (0, n - 1):
+        return True
+    if a1 > a2:
+        # a holds both n-1 and 0, so b must wrap as well
+        return b1 > b2 and b1 <= a1 and a2 <= b2
+    if b1 <= b2:
+        return b1 <= a1 and a2 <= b2
+    # b is lo..n-1 plus 0..hi with a gap between: a lies on one side
+    return a1 >= b1 or a2 <= b2
 
 
 def _check_grid_size(n: int) -> None:
@@ -211,20 +278,25 @@ def discrete_grid(n: int) -> FinitePhaseSpace:
     return FinitePhaseSpace(pts, Geometry.DISCRETE, h, gap=h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Entourage:
-    """A relation on point indices, stored as one successor set per row.
+    """A relation on point indices; ``rows[i]`` holds every ``j`` with ``(i, j)`` in it.
 
-    ``rows[i]`` holds every ``j`` with ``(i, j)`` in the relation.  A metric
-    entourage additionally records the ``scale`` (the epsilon that generated
-    it); explicitly listed relations keep ``scale=None`` and are used by
-    literal pair membership.
+    It is stored in one of two ways.  Explicitly listed relations keep the
+    index sets ``rows`` themselves and are used by literal pair membership.
+    A metric entourage on a sorted space (see ``arc_within``) keeps one
+    cyclic interval per row in ``arcs`` and builds ``rows`` only when a
+    caller asks for them; the relation queries below read the intervals
+    when every entourage involved has them.  A metric entourage records the
+    ``scale`` (the epsilon that generated it); explicit relations keep
+    ``scale=None``, unless a caller attaches one to explicit rows.
     """
 
     space: FinitePhaseSpace
-    rows: tuple[frozenset[int], ...]
+    _rows: tuple[frozenset[int], ...] | None
     label: str
     scale: float | None = None
+    arcs: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
 
     @classmethod
     def from_pairs(
@@ -255,59 +327,174 @@ class Entourage:
                 rows[i].add(i)
         return cls(space, tuple(frozenset(r) for r in rows), label, scale)
 
+    @cached_property
+    def rows(self) -> tuple[frozenset[int], ...]:
+        if self._rows is not None:
+            return self._rows
+        n = self.n
+        return tuple(frozenset(arc_indices(arc, n)) for arc in self.arcs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Entourage):
+            return NotImplemented
+        if (self.label, self.scale, self.space) != (other.label, other.scale, other.space):
+            return False
+        if self.arcs is not None and other.arcs is not None:
+            return self.arcs == other.arcs
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.scale, self.n))
+
     @property
     def n(self) -> int:
         return self.space.n
 
+    def row(self, x: int) -> list[int]:
+        """Row x in ascending order."""
+        if self.arcs is not None:
+            return arc_indices(self.arcs[x], self.n)
+        return sorted(self.rows[x])
+
+    def image_arc(self, image: Sequence[float]) -> tuple[int, int] | None:
+        """The interval of indices D-close to an exact image point (``arcs`` only).
+
+        An image within the slack of its nearest grid point reads that
+        point's row; any other image gets its own ball, None when empty.
+        """
+        space = self.space
+        idx = space.nearest_index(image)
+        if space.distance(image, space.points[idx]) <= COMPARISON_SLACK:
+            return self.arcs[idx]
+        return space.arc_within(image, self.scale)
+
     def contains(self, x: int, y: int) -> bool:
+        if self.arcs is not None:
+            return arc_contains(self.arcs[x], y)
         return y in self.rows[x]
 
     def pairs(self) -> Iterable[tuple[int, int]]:
-        for x, row in enumerate(self.rows):
-            for y in sorted(row):
+        for x in range(self.n):
+            for y in self.row(x):
                 yield (x, y)
 
     def pair_count(self) -> int:
+        if self.arcs is not None:
+            n = self.n
+            return sum(arc_size(arc, n) for arc in self.arcs)
         return sum(len(row) for row in self.rows)
 
     def has_diagonal(self) -> bool:
+        if self.arcs is not None:
+            return all(arc_contains(arc, i) for i, arc in enumerate(self.arcs))
         return all(i in row for i, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
+        ends, n = self._ends, self.n
+        if ends is not None:
+            # Row x reaches back from both of its ends, so by the staircase
+            # every y in row x has x in row y.  Should a relation pass the
+            # staircase yet fail this, the pairwise test below decides.
+            lows, highs = ends
+            if all(
+                lows[h % n] + n * (h // n) <= x <= highs[lo % n] + n * (lo // n)
+                for x, (lo, h) in enumerate(zip(lows, highs))
+            ):
+                return True
         return all(x in self.rows[y] for x, row in enumerate(self.rows) for y in row)
 
     def is_diagonal_only(self) -> bool:
+        if self.arcs is not None:
+            return all(arc == (i, i) for i, arc in enumerate(self.arcs))
         return all(row == frozenset((i,)) for i, row in enumerate(self.rows))
 
     def is_subset(self, other: "Entourage") -> bool:
+        if self.arcs is not None and other.arcs is not None:
+            n = self.n
+            return all(_arc_subset(a, b, n) for a, b in zip(self.arcs, other.arcs))
         return all(a <= b for a, b in zip(self.rows, other.rows))
 
     def square_is_subset(self, other: "Entourage") -> bool:
         """Whether self o self lies inside ``other``, without building the composite.
 
-        Row x of the composite is the union of the rows z in self[x], so the
-        test is self[z] inside other[x] for every such z; it stops at the first miss.
+        Row x of the composite is the union of the rows z in self[x].  On a
+        staircase (see ``_ends``) that union is one interval, from the low
+        end of the row of self[x]'s low end to the high end of the row of
+        its high end, and it is compared with other[x] in O(1).  Otherwise
+        the test is self[z] inside other[x] for every such z; either way it
+        stops at the first miss.
         """
-        rows = self.rows
-        return all(rows[z] <= ox for sx, ox in zip(rows, other.rows) for z in sx)
+        ends, n = self._ends, self.n
+        if ends is None or other.arcs is None:
+            rows = self.rows
+            return all(rows[z] <= ox for sx, ox in zip(rows, other.rows) for z in sx)
+        lows, highs = ends
+        for (lo, hi), arc in zip(zip(lows, highs), other.arcs):
+            a = lows[lo % n] + n * (lo // n)
+            b = highs[hi % n] + n * (hi // n)
+            union = (0, n - 1) if b - a + 1 >= n else (a % n, b % n)
+            if not _arc_subset(union, arc, n):
+                return False
+        return True
+
+    @cached_property
+    def _ends(self) -> tuple[list[int], list[int]] | None:
+        """Unrolled ends lows[x] <= x <= highs[x] of every row, if a staircase.
+
+        Row x is lows[x]..highs[x] taken mod n, and row x + k*n is read as
+        the same interval shifted by k*n.  The relation is a staircase when
+        every row holds its centre and neither end ever moves back as x
+        goes once round, which metric balls on a sorted space satisfy.  A
+        row that holds every point can be read as any n consecutive
+        indices around x; it gets the first that keeps the previous row's
+        low end.  Else None, and the queries that need it read ``rows``.
+        """
+        if self.arcs is None:
+            return None
+        n = self.n
+        start = next((x for x, arc in enumerate(self.arcs) if arc_size(arc, n) < n), None)
+        if start is None:
+            return [0] * n, [n - 1] * n
+        lows, highs = [0] * n, [0] * n
+        prev_lo = 0
+        for u in range(start, start + n):
+            x, turn = u % n, u - u % n
+            lo, hi = self.arcs[x]
+            if arc_size((lo, hi), n) == n:
+                lo = max(prev_lo, u - n + 1) - turn
+                hi = lo + n - 1
+            elif lo > hi:
+                lo, hi = (lo, hi + n) if x >= lo else (lo - n, hi)
+            if not lo <= x <= hi:
+                return None
+            lows[x], highs[x], prev_lo = lo, hi, lo + turn
+        for ends in (lows, highs):
+            if any(a > b for a, b in zip(ends, ends[1:] + [ends[0] + n])):
+                return None
+        return lows, highs
 
 
 def make_epsilon_entourage(space: FinitePhaseSpace, epsilon: float) -> Entourage:
     """The metric entourage {(x, y) : dist(x, y) <= epsilon}.
 
-    Reflexive and symmetric by construction.  Raises
-    :class:`InvalidParameterError` for non-positive ``epsilon``.
+    Reflexive and symmetric by construction; one interval per row on a
+    sorted space.  Raises :class:`InvalidParameterError` for non-positive
+    ``epsilon``.
     """
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
-    rows = tuple(
-        frozenset(space.indices_within(p, epsilon)) for p in space.points
-    )
-    return Entourage(space, rows, f"eps={epsilon:g}", float(epsilon))
+    label, scale = f"eps={epsilon:g}", float(epsilon)
+    if space._sorted is not None:
+        arcs = tuple(space.arc_within(p, epsilon) for p in space.points)
+        return Entourage(space, None, label, scale, arcs)
+    rows = tuple(frozenset(space.indices_within(p, epsilon)) for p in space.points)
+    return Entourage(space, rows, label, scale)
 
 
 def diagonal_entourage(space: FinitePhaseSpace) -> Entourage:
     """The diagonal-only relation, the uniformity floor of the finite model."""
+    if space._sorted is not None:
+        return Entourage(space, None, "diag", 0.0, tuple((i, i) for i in range(space.n)))
     rows = tuple(frozenset((i,)) for i in range(space.n))
     return Entourage(space, rows, "diag", 0.0)
 
@@ -346,7 +533,7 @@ def cross_section(e: Entourage, x: int) -> frozenset[int]:
     """E[x]: the set of indices related to x.  Contains x for any honest entourage."""
     if not 0 <= x < e.n:
         raise OutOfRangeError(f"index {x} out of range for {e.n} points")
-    return e.rows[x]
+    return frozenset(e.row(x))
 
 
 @dataclass(frozen=True)

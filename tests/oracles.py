@@ -25,6 +25,15 @@ def ball_bruteforce(space, center_index: int, eps: float) -> set[int]:
     return set(within_bruteforce(space, space.points[center_index], eps))
 
 
+def sorted_list_space(coords, geometry):
+    """A 1-D space on sorted coordinates with h at half the widest gap, so it is valid."""
+    from chaindyn import FinitePhaseSpace
+
+    xs = sorted(coords)
+    h = max((b - a for a, b in zip(xs, xs[1:])), default=2.0) / 2
+    return FinitePhaseSpace(tuple((x,) for x in xs), geometry, h)
+
+
 def nearest_bruteforce(space, coords) -> int:
     """Nearest grid index by a full scan in index order.
 
@@ -37,6 +46,50 @@ def nearest_bruteforce(space, coords) -> int:
         if d < best_d - 1e-12:
             best_i, best_d = i, d
     return best_i
+
+
+def successors_bruteforce(d, image) -> list[int]:
+    """Indices D-close to an exact image for a metric entourage, by full scans.
+
+    An image within the 1e-12 slack of its nearest grid point takes that
+    point's ball; any other image takes its own ball.
+    """
+    space = d.space
+    idx = nearest_bruteforce(space, image)
+    if space.distance(image, space.points[idx]) <= 1e-12:
+        image = space.points[idx]
+    return within_bruteforce(space, image, d.scale)
+
+
+def drift_bruteforce(space, successors, target_coords) -> int:
+    """The successor closest to the target over the whole list; ties take the smaller index."""
+    return min(successors, key=lambda j: (space.distance(space.points[j], target_coords), j))
+
+
+def pseudo_orbit_bruteforce(system, d, length, seed, mode, start=None, target=None):
+    """States of a seeded pseudo-orbit chosen from expanded successor lists.
+
+    Draws from the same seeded generator in the same order as
+    ``generate_pseudo_orbit`` without an allowed set.  Returns the step
+    with no successor instead when the walk dead-ends.
+    """
+    from chaindyn.systems import iterate
+
+    space = system.space
+    rng = random.Random(f"{seed}|{d.label}|{mode}")
+    if start is None:
+        start = rng.randrange(space.n) if mode == "uniform" else 0
+    target_coords = space.points[space.n - 1 if target is None else target]
+    states = [start]
+    for i in range(length):
+        succ = successors_bruteforce(d, iterate(system, space.points[states[-1]], 1))
+        if not succ:
+            return i
+        if mode == "uniform":
+            states.append(succ[rng.randrange(len(succ))])
+        else:
+            states.append(drift_bruteforce(space, succ, target_coords))
+    return tuple(states)
 
 
 def nonwandering_bruteforce(system, scale, horizon: int) -> tuple[int, ...]:

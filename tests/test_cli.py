@@ -446,6 +446,26 @@ class TestOncePerRequest:
         edges = json.loads(out)["results"]["graph"]["edges"]
         assert len(dump.read_text().splitlines()) == edges
 
+    def test_mixing_builds_n_max_graphs(self, rotation_spec, capsys, monkeypatch):
+        # the graph of f comes from the request; only f^2..f^n_max are built
+        from chaindyn import chaingraph
+
+        calls = []
+        build = chaingraph.build_transition_graph
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(chaingraph, "build_transition_graph", counted)
+        monkeypatch.setattr(cli, "build_transition_graph", counted)
+        code, out = run_cli(
+            ["mixing", "--spec", rotation_spec, "--nmax", "5", "--format", "machine"], capsys)
+        assert code == 0
+        # every iterate is transitive, so none is skipped by a short circuit
+        assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
+        assert len(calls) == 5
+
 
 class TestResourceLimits:
     @pytest.mark.parametrize(

@@ -34,9 +34,38 @@ from chaindyn import (
     verify_pseudo_orbit,
 )
 from chaindyn.shadowing import candidate_levels, entourage_holds
-from oracles import shadow_bruteforce
+from chaindyn.systems import MapKind, SystemSpec
+from chaindyn.uniform import Geometry
+from oracles import pseudo_orbit_bruteforce, shadow_bruteforce, sorted_list_space
 
 CATALOG = {n: catalog_systems(n) for n in (8, 16)}
+
+# Irregular sorted lists; on the circle 0.0 and 1.0 are one point listed twice.
+IRREGULAR = (0.0, 0.1, 0.25, 0.3, 0.45, 0.6, 0.7, 0.85, 1.0)
+IRREGULAR_CIRCLE = sorted_list_space(IRREGULAR, Geometry.CIRCLE)
+ORBIT_SYSTEMS = (
+    *CATALOG[16],
+    *catalog_systems(33),
+    SystemSpec("rotation-list", MapKind.ROTATION, IRREGULAR_CIRCLE, (0.3819660112501051,)),
+    SystemSpec("doubling-list", MapKind.DOUBLING, IRREGULAR_CIRCLE),
+    SystemSpec("square-list", MapKind.SQUARE, sorted_list_space(IRREGULAR, Geometry.INTERVAL)),
+    identity_system(sorted_list_space(IRREGULAR, Geometry.DISCRETE)),
+)
+
+
+@st.composite
+def orbit_systems(draw):
+    """A catalog system, or a rotation or doubling on a random circle list with 0.0 and 1.0."""
+    if draw(st.booleans()):
+        system = draw(st.sampled_from(ORBIT_SYSTEMS))
+    else:
+        ks = draw(st.sets(st.integers(1, 10**6 - 1), min_size=1, max_size=20))
+        space = sorted_list_space([0.0, 1.0, *(k / 10**6 for k in ks)], Geometry.CIRCLE)
+        system = draw(st.sampled_from((
+            SystemSpec("rotation-list", MapKind.ROTATION, space, (0.3819660112501051,)),
+            SystemSpec("doubling-list", MapKind.DOUBLING, space),
+        )))
+    return replace(system, power=draw(st.integers(1, 3)))
 
 
 class TestGeneration:
@@ -111,6 +140,40 @@ class TestGeneration:
         pooled = find_shadow_point(orbit, e, s)
         assert single == pooled
         assert build_transition_graph(s, d) == single_graph
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_orbits_match_expanded_successor_lists(self, data):
+        # drift takes the min over every successor, uniform the r-th of the
+        # ascending list at the same seed
+        system = data.draw(orbit_systems())
+        space = system.space
+        h = space.resolution
+        eps = data.draw(st.one_of(
+            st.sampled_from((h / 2, h, 2 * h, 3 * h, 0.25, 0.5 - 1e-12, 0.5, 1.0)),
+            st.floats(min_value=1e-6, max_value=1.0)))
+        d = make_epsilon_entourage(space, eps)
+        mode = data.draw(st.sampled_from(("uniform", "adversarial-drift")))
+        seed = data.draw(st.integers(0, 10**6))
+        index = st.one_of(st.none(), st.integers(0, space.n - 1))
+        start, target = data.draw(index), data.draw(index)
+        expected = pseudo_orbit_bruteforce(system, d, 25, seed, mode, start, target)
+        try:
+            got = generate_pseudo_orbit(
+                system, d, 25, seed, mode, start=start, target=target).states
+        except DiscretizationTooCoarseError as exc:
+            got = int(str(exc).split()[1].rstrip(":"))
+        assert got == expected
+
+    def test_explicit_rows_keep_row_semantics(self):
+        # explicit rows with a scale attached: an on-grid image reads its row,
+        # not the ball of that scale
+        s = identity_system(interval_grid(9))
+        diag = Entourage(s.space, diagonal_entourage(s.space).rows, "diag-rows", 0.3)
+        assert diag.arcs is None
+        orbit = generate_pseudo_orbit(s, diag, 6, seed=4, mode="adversarial-drift", start=2)
+        assert orbit.states == (2,) * 7
+        assert build_transition_graph(s, diag).succ == tuple((i,) for i in range(9))
 
     def test_restriction_to_allowed_set(self):
         s = identity_system(interval_grid(21))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,8 @@ from chaindyn import (
     refining_entourage,
     verify_uniformity_axioms,
 )
-from oracles import ball_bruteforce, nearest_bruteforce, within_bruteforce
+from chaindyn.uniform import arc_indices
+from oracles import ball_bruteforce, nearest_bruteforce, sorted_list_space, within_bruteforce
 
 
 def relation_pairs(e):
@@ -189,6 +192,106 @@ class TestSnapIndex:
         assert space.indices_within((c,), r) == within_bruteforce(space, (c,), r)
 
 
+SORTED_SNAP_SPACES = tuple(s for s in SNAP_SPACES if make_epsilon_entourage(s, 1.0).arcs)
+
+
+@st.composite
+def sorted_spaces(draw):
+    """A bundled sorted space, or a random sorted list (often holding 0.0 and 1.0)."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SORTED_SNAP_SPACES))
+    ends = {0, 10**6} if draw(st.booleans()) else set()
+    ks = draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=24)) | ends
+    geometry = draw(st.sampled_from((Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE)))
+    return sorted_list_space([k / 10**6 for k in ks], geometry)
+
+
+def entourage_radii(space):
+    """Multiples of h, the half-turn edge cases, and dyadic scales.
+
+    At 0.5 - 1.5e-12 the radius plus the slack is below 1/2, so a circle
+    ball misses the antipode, but plus twice the slack it is not.
+    """
+    h = space.resolution
+    return (h / 2, h, 2 * h, 3 * h, 0.25, 0.5 - 2e-12, 0.5 - 1.5e-12, 0.5 - 1e-12, 0.5, 1.0,
+            *(2.0 ** -k for k in range(9)))
+
+
+def radius(data, space):
+    return data.draw(st.one_of(
+        st.sampled_from(entourage_radii(space)), st.floats(min_value=1e-6, max_value=1.0)))
+
+
+class TestIntervalEntourage:
+    """Metric entourages stored as index intervals agree with the full scans."""
+
+    @pytest.mark.parametrize(
+        "space", SORTED_SNAP_SPACES, ids=lambda s: f"{s.geometry.value}-{s.n}")
+    def test_structured_radii_match_ball_scan(self, space):
+        for r in entourage_radii(space):
+            e = make_epsilon_entourage(space, r)
+            assert [set(row) for row in e.rows] == [
+                ball_bruteforce(space, i, r) for i in range(space.n)], r
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_ball_scan(self, data):
+        space = data.draw(sorted_spaces())
+        r = radius(data, space)
+        e = make_epsilon_entourage(space, r)
+        assert e.arcs is not None
+        balls = [ball_bruteforce(space, i, r) for i in range(space.n)]
+        assert [set(row) for row in e.rows] == balls
+        assert [e.row(i) for i in range(space.n)] == [sorted(b) for b in balls]
+        assert e.pair_count() == sum(len(b) for b in balls)
+        assert all(e.contains(i, j) == (j in balls[i])
+                   for i in range(space.n) for j in range(space.n))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_off_grid_arcs_match_scan(self, data):
+        space = data.draw(sorted_spaces())
+        c = data.draw(st.one_of(
+            st.sampled_from(structured_probes(space)), st.floats(min_value=0.0, max_value=1.0)))
+        r = data.draw(st.one_of(
+            st.sampled_from((0.0, 1e-9, *entourage_radii(space))),
+            st.floats(min_value=0.0, max_value=1.0)))
+        expected = within_bruteforce(space, (c,), r)
+        arc = space.arc_within((c,), r)
+        if not expected:
+            assert arc is None
+        else:
+            assert arc_indices(arc, space.n) == expected
+            assert len(expected) < space.n or arc == (0, space.n - 1)
+        assert space.indices_within((c,), r) == expected
+
+    def test_empty_off_grid_ball(self):
+        space = circle_grid(8)
+        assert space.arc_within((1 / 16,), 1e-6) is None
+        assert space.indices_within((1 / 16,), 1e-6) == []
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_relation_queries_match_rows(self, data):
+        space = data.draw(sorted_spaces())
+        levels = [make_epsilon_entourage(space, radius(data, space)) for _ in range(2)]
+        levels.append(diagonal_entourage(space))
+        pairs = data.draw(st.sets(st.tuples(
+            st.integers(0, space.n - 1), st.integers(0, space.n - 1)), max_size=3 * space.n))
+        explicit = Entourage.from_pairs(space, pairs, "x", close=data.draw(st.booleans()))
+        d, e = data.draw(st.sampled_from(levels)), data.draw(st.sampled_from(levels))
+        # the same relations as explicit rows: row-backed and mixed pairs
+        d_rows, e_rows = (Entourage(space, r.rows, r.label, r.scale) for r in (d, e))
+        for a in (d, d_rows):
+            for b in (e, e_rows, explicit):
+                assert a.square_is_subset(b) == compose(a, a).is_subset(b)
+                assert a.is_subset(b) == all(x <= y for x, y in zip(a.rows, b.rows))
+        assert explicit.square_is_subset(d) == compose(explicit, explicit).is_subset(d)
+        assert d == d_rows
+        for query in ("pair_count", "has_diagonal", "is_symmetric", "is_diagonal_only"):
+            assert getattr(d, query)() == getattr(d_rows, query)(), query
+
+
 class TestComposition:
     def test_diagonal_is_identity(self):
         s = interval_grid(4)
@@ -302,6 +405,14 @@ class TestAxioms:
                     r.half_witness for r in report.levels if r.label == lvl.label
                 )
                 assert got == next_lvl.label
+
+    def test_dyadic_basis_at_4096_points(self):
+        # two levels hold all 4096**2 pairs; as intervals they take O(n) each
+        start = time.perf_counter()
+        basis = dyadic_basis(circle_grid(4096), 8)
+        assert verify_uniformity_axioms(basis).all_ok
+        assert basis.levels[0].pair_count() == 4096 ** 2
+        assert time.perf_counter() - start < 30.0
 
     def test_asymmetric_level_is_flagged(self):
         s = interval_grid(4)

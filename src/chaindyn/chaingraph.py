@@ -95,11 +95,10 @@ def image_successors(d: Entourage, image: Sequence[float]) -> tuple[int, ...]:
     if d.arcs is not None:
         arc = d.image_arc(image)
         return () if arc is None else tuple(arc_indices(arc, d.n))
-    space = d.space
-    idx = space.nearest_index(image)
-    if d.scale is None or space.distance(image, space.points[idx]) <= COMPARISON_SLACK:
+    idx, dist = d.space.snap(image)
+    if d.scale is None or dist <= COMPARISON_SLACK:
         return tuple(sorted(d.rows[idx]))
-    return tuple(space.indices_within(image, d.scale))
+    return tuple(d.space.indices_within(image, d.scale))
 
 
 def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
@@ -241,24 +240,25 @@ def is_chain_mixing(g: TransitionGraph) -> bool:
 
 
 def is_totally_chain_transitive(
-    system: SystemSpec, d: Entourage, n_max: int, *, graph: TransitionGraph | None = None
+    system: SystemSpec, d: Entourage, n_max: int, *, analysis: ChainAnalysis | None = None
 ) -> bool:
     """Chain transitivity of the graphs of f, f^2, ..., f^n_max.
 
     A bounded certificate for the unbounded definition: each iterate's
     graph is built from exact n-fold images.  On compact finite models the
     chain-mixing check certifies the full statement; both are computed and
-    compared by the test suite.  ``graph``, when given, is the graph of f
-    at D, which is then not built again.
+    compared by the test suite.  ``analysis``, when given, is the chain
+    analysis of the graph of f at D, which is then neither built nor
+    analysed again.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
-    graphs = (
-        graph if k == 1 and graph is not None
-        else build_transition_graph(replace(system, power=k * system.power), d)
-        for k in range(1, n_max + 1)
+    if analysis is None:
+        analysis = ChainAnalysis.from_graph(build_transition_graph(system, d))
+    return analysis.transitive and all(
+        is_chain_transitive(build_transition_graph(replace(system, power=k * system.power), d))
+        for k in range(2, n_max + 1)
     )
-    return all(is_chain_transitive(g) for g in graphs)
 
 
 def chain_diameter(g: TransitionGraph) -> int:

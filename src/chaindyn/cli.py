@@ -29,7 +29,7 @@ from .chaingraph import (
     chain_diameter,
     is_totally_chain_transitive,
 )
-from .errors import ChainDynError
+from .errors import ChainDynError, ResourceLimitError
 from .recurrence import nonwandering_points, omega_limit
 from .shadowing import disconnectedness_dichotomy, estimate_shadowing_modulus
 from .systems import SystemSpec, load_analysis_defaults, load_system, parse_spec
@@ -55,6 +55,10 @@ COMMANDS = (
     "full",
 )
 STOCHASTIC_COMMANDS = frozenset({"shadowing", "dichotomy", "full"})
+
+#: Cap on n x horizon, the exact iterates a request may snap; it admits
+#: ``MAX_POINTS`` points at the default horizon of 100.
+MAX_ORBIT_CELLS = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ def _mixing_stage(req: AnalysisRequest) -> dict[str, Any]:
     period = analysis.periods[0] if analysis.transitive else None
     mixing = period == 1
     totally = is_totally_chain_transitive(
-        req.system, req.entourage, req.n_max, graph=req.graph
+        req.system, req.entourage, req.n_max, analysis=analysis
     )
     return {
         "chain_mixing": mixing,
@@ -402,12 +406,18 @@ def main(argv: list[str] | None = None) -> int:
         seed = _pick(args.seed, defaults, "seed", None)
         if args.command in STOCHASTIC_COMMANDS and seed is None:
             parser.error(f"--seed is required for '{args.command}' (no wall-clock default)")
+        horizon = _pick(args.horizon, defaults, "horizon", 100)
+        if system.space.n * horizon > MAX_ORBIT_CELLS:
+            raise ResourceLimitError(
+                f"--horizon {horizon} on {system.space.n} points exceeds the cap of "
+                f"{MAX_ORBIT_CELLS} orbit cells (n x horizon)"
+            )
         request = AnalysisRequest(
             system=system,
             command=args.command,
             epsilon=epsilon,
             basis_levels=_pick(args.basis, defaults, "basis", 8),
-            horizon=_pick(args.horizon, defaults, "horizon", 100),
+            horizon=horizon,
             trials=_pick(args.trials, defaults, "trials", 20),
             seed=seed,
             n_max=_pick(args.nmax, defaults, "nmax", 4),

@@ -77,18 +77,43 @@ class ReturnSetClassification:
         return "empty" in self.labels
 
 
+#: One step of an exact orbit: the snap of the image (None past h/2), the
+#: index w when the image is exactly grid point w (else None), and the image.
+_Step = tuple[int | None, int | None, tuple[float, ...]]
+
+
 def _snapped_orbit(
-    system: SystemSpec, start: int, horizon: int
+    system: SystemSpec, start: int, horizon: int, steps: list[_Step | None]
 ) -> list[int | None]:
-    """Nearest-grid snaps of the exact orbit; None where the snap misses h/2."""
+    """Snaps of the exact orbit of grid point ``start``; None where a snap misses h/2.
+
+    While an iterate is exactly a grid point v, its image is v's image, since
+    the float arithmetic is deterministic; so the walk reads v's entry of
+    ``steps``, a table over the grid that the caller shares between the
+    orbits of one system and that is filled the first time an orbit reaches
+    v.  Off the grid the walk iterates the float coordinates and snaps each
+    image, and it returns to the table once an image lands exactly on a grid
+    point.  Either way every snap is the one the plain float loop would take.
+    """
     space = system.space
-    tol = space.resolution / 2 + COMPARISON_SLACK
+    points, tol = space.points, space.resolution / 2 + COMPARISON_SLACK
+
+    def advance(coords: tuple[float, ...]) -> _Step:
+        image = iterate(system, coords, 1)
+        idx, dist = space.snap(image)
+        return (idx if dist <= tol else None, idx if image == points[idx] else None, image)
+
     out: list[int | None] = [start]
-    coords = space.points[start]
+    at, coords = start, points[start]
     for _ in range(horizon):
-        coords = iterate(system, coords, 1)
-        idx = space.nearest_index(coords)
-        out.append(idx if space.distance(coords, space.points[idx]) <= tol else None)
+        if at is None:
+            snapped, at, coords = advance(coords)
+        else:
+            entry = steps[at]
+            if entry is None:
+                entry = steps[at] = advance(points[at])
+            snapped, at, coords = entry
+        out.append(snapped)
     return out
 
 
@@ -117,8 +142,9 @@ def return_times(
     us, vs = _check_sets(system, u, v)
     vset = set(vs)
     hits: set[int] = set()
+    steps: list[_Step | None] = [None] * system.space.n
     for x in us:
-        orbit = _snapped_orbit(system, x, horizon)
+        orbit = _snapped_orbit(system, x, horizon, steps)
         for t, idx in enumerate(orbit):
             if idx is not None and idx in vset:
                 hits.add(t)
@@ -145,8 +171,10 @@ def nonwandering_points(
         raise IncompatibleSpaceError("entourage is over a different space")
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
+    n = system.space.n
+    steps: list[_Step | None] = [None] * n
     # The snaps of each orbit at t >= 1; None (a missed snap) meets no ball.
-    visits = [frozenset(_snapped_orbit(system, u, horizon)[1:]) for u in range(system.space.n)]
+    visits = [frozenset(_snapped_orbit(system, u, horizon, steps)[1:]) for u in range(n)]
     return tuple(
         x for x, ball in enumerate(scale.rows) if any(not visits[u].isdisjoint(ball) for u in ball)
     )

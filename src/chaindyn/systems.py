@@ -192,9 +192,8 @@ def grid_permutation(system: SystemSpec) -> tuple[int, ...] | None:
     space = system.space
     images = []
     for p in space.points:
-        img = step(system, p)
-        idx = space.nearest_index(img)
-        if space.distance(img, space.points[idx]) > 1e-9:
+        idx, dist = space.snap(step(system, p))
+        if dist > 1e-9:
             return None
         images.append(idx)
     if sorted(images) != list(range(space.n)):

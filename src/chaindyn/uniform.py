@@ -148,25 +148,37 @@ class FinitePhaseSpace:
                 best = d
         return best
 
-    def nearest_index(self, coords: Sequence[float]) -> int:
-        """Index of the grid point closest to ``coords``; ties take the smaller index.
+    def snap(self, coords: Sequence[float]) -> tuple[int, float]:
+        """The grid point closest to ``coords`` and its distance; ties take the smaller index.
 
         In index order, a later point replaces the choice only when it is
         closer by more than the slack.  On a sorted space the distances fall
         toward ``coords`` and then rise (on the circle they fall again toward
-        the end), so the rule needs only the bisection neighbours and the ends.
+        the end), so the rule needs only the bisection neighbours and the
+        ends, visited in ascending order (a repeated candidate never wins
+        twice); their 1-D distances are computed here as ``distance`` does.
         """
-        xs, n = self._sorted, self.n
-        candidates: Iterable[int] = range(n)
-        if xs is not None:
-            k = bisect_left(xs, coords[0])
-            candidates = sorted({0, max(k - 1, 0), min(k, n - 1), n - 1})
         best_i, best_d = 0, math.inf
-        for i in candidates:
-            d = self.distance(coords, self.points[i])
+        xs = self._sorted
+        if xs is None:
+            for i, p in enumerate(self.points):
+                d = self.distance(coords, p)
+                if d < best_d - COMPARISON_SLACK:
+                    best_i, best_d = i, d
+            return best_i, best_d
+        c, last, wraps = coords[0], len(xs) - 1, self._wraps
+        k = bisect_left(xs, c)
+        for i in (0, k - 1 if k else 0, k if k <= last else last, last):
+            d = abs(c - xs[i])
+            if wraps and 1.0 - d < d:
+                d = 1.0 - d
             if d < best_d - COMPARISON_SLACK:
                 best_i, best_d = i, d
-        return best_i
+        return best_i, best_d
+
+    def nearest_index(self, coords: Sequence[float]) -> int:
+        """Index of the grid point closest to ``coords`` (see :meth:`snap`)."""
+        return self.snap(coords)[0]
 
     def indices_within(self, coords: Sequence[float], radius: float) -> list[int]:
         """All grid indices within ``radius`` of ``coords`` (closed, ascending)."""
@@ -362,11 +374,10 @@ class Entourage:
         An image within the slack of its nearest grid point reads that
         point's row; any other image gets its own ball, None when empty.
         """
-        space = self.space
-        idx = space.nearest_index(image)
-        if space.distance(image, space.points[idx]) <= COMPARISON_SLACK:
+        idx, dist = self.space.snap(image)
+        if dist <= COMPARISON_SLACK:
             return self.arcs[idx]
-        return space.arc_within(image, self.scale)
+        return self.space.arc_within(image, self.scale)
 
     def contains(self, x: int, y: int) -> bool:
         if self.arcs is not None:

@@ -92,31 +92,55 @@ def pseudo_orbit_bruteforce(system, d, length, seed, mode, start=None, target=No
     return tuple(states)
 
 
-def nonwandering_bruteforce(system, scale, horizon: int) -> tuple[int, ...]:
-    """Non-wandering estimate by the per-u, per-t scan over snapped orbits.
+def snapped_orbit_bruteforce(system, start: int, horizon: int) -> list[int | None]:
+    """Snaps of the float orbit of grid point ``start`` at t = 0..horizon.
 
-    x qualifies when some u in the ball scale.rows[x] has an exact iterate
-    f^t(u), 1 <= t <= horizon, whose nearest grid point lies in the ball and
-    within h/2 of the iterate.  Snaps use :func:`nearest_bruteforce`.
+    Each exact iterate goes to :func:`nearest_bruteforce`, and the snap counts
+    only when it lies within h/2 of the iterate (else None).
     """
     from chaindyn.systems import iterate
 
     space = system.space
     tol = space.resolution / 2 + 1e-12
-    orbits = []
-    for u in range(space.n):
-        coords, orbit = space.points[u], []
-        for _ in range(horizon):
-            coords = iterate(system, coords, 1)
-            idx = nearest_bruteforce(space, coords)
-            orbit.append(idx if space.distance(coords, space.points[idx]) <= tol else None)
-        orbits.append(orbit)
+    coords, orbit = space.points[start], [start]
+    for _ in range(horizon):
+        coords = iterate(system, coords, 1)
+        idx = nearest_bruteforce(space, coords)
+        orbit.append(idx if space.distance(coords, space.points[idx]) <= tol else None)
+    return orbit
+
+
+def nonwandering_bruteforce(system, scale, horizon: int) -> tuple[int, ...]:
+    """Non-wandering estimate by the per-u, per-t scan over snapped orbits.
+
+    x qualifies when some u in the ball scale.rows[x] has an exact iterate
+    f^t(u), 1 <= t <= horizon, whose nearest grid point lies in the ball and
+    within h/2 of the iterate (see :func:`snapped_orbit_bruteforce`).
+    """
+    space = system.space
+    orbits = [snapped_orbit_bruteforce(system, u, horizon)[1:] for u in range(space.n)]
     result = []
     for x in range(space.n):
         ball = scale.rows[x]
         if any(idx is not None and idx in ball for u in ball for idx in orbits[u]):
             result.append(x)
     return tuple(result)
+
+
+def return_times_bruteforce(system, us, vs, horizon: int) -> tuple[int, ...]:
+    """Times t in [0, horizon] at which the snapped float orbit of some x in us lies in vs."""
+    vs = set(vs)
+    return tuple(sorted({
+        t for x in set(us)
+        for t, idx in enumerate(snapped_orbit_bruteforce(system, x, horizon)) if idx in vs
+    }))
+
+
+def weak_mixing_bruteforce(system, us, vs, horizon: int) -> int | None:
+    """Least t >= 1 at which us returns both to itself and to vs, or None."""
+    uu = set(return_times_bruteforce(system, us, us, horizon))
+    uv = set(return_times_bruteforce(system, us, vs, horizon))
+    return min((t for t in uu & uv if t >= 1), default=None)
 
 
 def on_cycle_bruteforce(g: TransitionGraph, x: int) -> bool:

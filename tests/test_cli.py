@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from chaindyn import cli
+from chaindyn.uniform import MAX_POINTS
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -466,6 +467,24 @@ class TestOncePerRequest:
         assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
         assert len(calls) == 5
 
+    def test_mixing_runs_tarjan_once_per_graph(self, rotation_spec, capsys, monkeypatch):
+        # the request's own pass serves f; f^2..f^n_max take one pass each
+        from chaindyn import chaingraph
+
+        calls = []
+        scc = chaingraph.strongly_connected_components
+
+        def counted(g):
+            calls.append(1)
+            return scc(g)
+
+        monkeypatch.setattr(chaingraph, "strongly_connected_components", counted)
+        code, out = run_cli(
+            ["mixing", "--spec", rotation_spec, "--nmax", "5", "--format", "machine"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
+        assert len(calls) == (5 - 1) + 1
+
 
 class TestResourceLimits:
     @pytest.mark.parametrize(
@@ -483,4 +502,16 @@ class TestResourceLimits:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ResourceLimitError:")
+        assert elapsed < 1.0
+
+    def test_long_horizon_is_refused_at_once(self, tmp_path, capsys):
+        assert MAX_POINTS * 100 <= cli.MAX_ORBIT_CELLS  # the default horizon fits any space
+        spec = write_spec(tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 16\n")
+        start = time.perf_counter()
+        code = cli.main(["recurrence", "--spec", spec, "--horizon", "1000000000"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ResourceLimitError:")
+        assert "--horizon" in err
         assert elapsed < 1.0

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaindyn import (
     GOLDEN_ALPHA,
@@ -24,10 +26,15 @@ from chaindyn import (
     return_times,
     rotation_system,
     square_system,
+    tent_system,
     weak_mixing_witness,
 )
 
-from oracles import nonwandering_bruteforce
+from oracles import (
+    nonwandering_bruteforce,
+    return_times_bruteforce,
+    weak_mixing_bruteforce,
+)
 
 EQUICONTINUOUS = ("identity", "rotation-golden", "cycle-shift", "odometer-5")
 
@@ -104,6 +111,101 @@ def test_nonwandering_matches_scan_oracle(n):
                 assert nonwandering_points(system, scale, horizon) == expected, (
                     system.name, scale.label, horizon
                 )
+
+
+# Orbits that leave the grid for good (tent slopes below 2), leave it and
+# land exactly on a grid point again (square, odd n), or never leave it
+# (the quarter rotation on 16 points).
+GRID_WALK_SYSTEMS = (
+    tent_system(1.5, 16),
+    tent_system(1.25, 17),
+    tent_system(1.0, 16),
+    square_system(17),
+    doubling_system(15),
+    rotation_system(0.25, 15),
+    rotation_system(0.25, 16),
+)
+
+
+def grid_reentries(system, horizon):
+    """Steps of the float orbits that go from off the grid exactly onto a grid point."""
+    points, count = set(system.space.points), 0
+    for p in system.space.points:
+        coords, on_grid = p, True
+        for _ in range(horizon):
+            coords = iterate(system, coords, 1)
+            count += coords in points and not on_grid
+            on_grid = coords in points
+    return count
+
+
+def test_grid_walk_systems_leave_and_reenter_the_grid():
+    reentries = {f"{s.name}-{s.space.n}": grid_reentries(s, 100) for s in GRID_WALK_SYSTEMS}
+    assert all(reentries[name] for name in ("square-17", "doubling-15", "rotation-0.25-15"))
+    assert reentries["tent-1.5-16"] == reentries["rotation-0.25-16"] == 0
+
+
+@pytest.mark.parametrize("system", GRID_WALK_SYSTEMS, ids=lambda s: f"{s.name}-{s.space.n}")
+def test_nonwandering_matches_scan_oracle_off_the_grid(system):
+    h = system.space.resolution
+    for horizon in (1, 7, 100):
+        for r in (h / 2, h, 2 * h):
+            scale = make_epsilon_entourage(system.space, r)
+            assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
+                system, scale, horizon
+            ), (scale.label, horizon)
+
+
+@st.composite
+def recurrence_systems(draw):
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(("tent", "square", "doubling", "rotation")))
+    if kind == "tent":
+        return tent_system(draw(st.floats(0.05, 2.0)), n)
+    if kind == "square":
+        return square_system(n)
+    if kind == "doubling":
+        return doubling_system(n)
+    alpha = draw(st.one_of(
+        st.integers(1, n - 1).map(lambda k: k / n),
+        st.sampled_from((0.25, 0.5, GOLDEN_ALPHA)),
+        st.floats(0.01, 0.99),
+    ))
+    return rotation_system(alpha, n)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_snapped_orbits_match_the_float_loop(data):
+    system = data.draw(recurrence_systems())
+    n, h = system.space.n, system.space.resolution
+    horizon = data.draw(st.sampled_from((1, 7, 100)))
+    scale = make_epsilon_entourage(system.space, data.draw(st.sampled_from((h / 2, h, 2 * h))))
+    assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
+        system, scale, horizon
+    )
+    indices = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
+    u, v = data.draw(indices), data.draw(indices)
+    assert return_times(system, u, v, horizon).times == return_times_bruteforce(
+        system, u, v, horizon
+    )
+    assert weak_mixing_witness(system, u, v, horizon) == weak_mixing_bruteforce(
+        system, u, v, horizon
+    )
+
+
+def test_grid_orbits_are_walked_by_index(monkeypatch):
+    # every doubling image of a grid point is exactly a grid point, so each
+    # point is stepped once however long the horizon
+    from chaindyn import recurrence
+
+    s = doubling_system(4096)
+    scale = make_epsilon_entourage(s.space, 2 * s.space.resolution)
+    calls = []
+    step = recurrence.iterate
+    monkeypatch.setattr(recurrence, "iterate", lambda *args: calls.append(1) or step(*args))
+    nonwandering_points(s, scale, 100)
+    assert len(calls) <= s.space.n
 
 
 class TestClassification:

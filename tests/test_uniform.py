@@ -172,7 +172,9 @@ class TestSnapIndex:
     @pytest.mark.parametrize("space", SNAP_SPACES, ids=lambda s: f"{s.geometry.value}-{s.n}")
     def test_structured_probes_match_scan(self, space):
         for c in structured_probes(space):
-            assert space.nearest_index((c,)) == nearest_bruteforce(space, (c,)), c
+            i = nearest_bruteforce(space, (c,))
+            assert space.nearest_index((c,)) == i, c
+            assert space.snap((c,)) == (i, space.distance((c,), space.points[i])), c
             for r in snap_radii(space):
                 assert space.indices_within((c,), r) == within_bruteforce(space, (c,), r), (c, r)
 
@@ -188,8 +190,24 @@ class TestSnapIndex:
             st.sampled_from(snap_radii(space)),
             st.floats(min_value=0.0, max_value=1.0),
         ))
-        assert space.nearest_index((c,)) == nearest_bruteforce(space, (c,))
+        i = nearest_bruteforce(space, (c,))
+        assert space.nearest_index((c,)) == i
+        assert space.snap((c,)) == (i, space.distance((c,), space.points[i]))
         assert space.indices_within((c,), r) == within_bruteforce(space, (c,), r)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_snap_on_sorted_lists_matches_scan(self, data):
+        # random lists, often holding both 0.0 and 1.0; probes at the points,
+        # at exact midpoints between neighbours and on both sides of the wrap
+        space = data.draw(sorted_spaces())
+        xs = [p[0] for p in space.points]
+        probes = {*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:])), (xs[-1] + 1.0 + xs[0]) / 2 % 1.0,
+                  0.0, 5e-324, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0}
+        c = data.draw(st.one_of(st.sampled_from(sorted(probes)), st.floats(0.0, 1.0)))
+        i = nearest_bruteforce(space, (c,))
+        assert space.snap((c,)) == (i, space.distance((c,), space.points[i]))
+        assert space.nearest_index((c,)) == i
 
 
 SORTED_SNAP_SPACES = tuple(s for s in SNAP_SPACES if make_epsilon_entourage(s, 1.0).arcs)

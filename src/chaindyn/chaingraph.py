@@ -31,8 +31,8 @@ from .errors import (
     OutOfRangeError,
     UndefinedDiameterError,
 )
-from .systems import SystemSpec, step
-from .uniform import COMPARISON_SLACK, Entourage, arc_indices
+from .systems import SystemSpec
+from .uniform import Entourage
 
 __all__ = [
     "TransitionGraph",
@@ -85,37 +85,37 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], source=("", "")) 
 
 
 def image_successors(d: Entourage, image: Sequence[float]) -> tuple[int, ...]:
-    """Grid indices D-reachable from an exact image point, ascending.
+    """Grid indices D-close to an exact image point, ascending.
 
-    Metric entourages use the ball of radius ``d.scale`` around the image,
-    read as an index interval on a sorted space; an image on the grid
-    reuses its nearest point's row.  Explicit relations snap the image to
-    its nearest grid point and use literal pair membership.
+    An entourage with a scale takes the closed ball of that radius around
+    the image (an index interval on a sorted space); an explicit relation
+    reads the row of the image's nearest grid point.  This is the rule of
+    ``shadowing.entourage_holds``, applied to every grid index.
     """
-    if d.arcs is not None:
-        arc = d.image_arc(image)
-        return () if arc is None else tuple(arc_indices(arc, d.n))
-    idx, dist = d.space.snap(image)
-    if d.scale is None or dist <= COMPARISON_SLACK:
-        return tuple(sorted(d.rows[idx]))
-    return tuple(d.space.indices_within(image, d.scale))
+    if d.scale is not None:
+        return tuple(d.space.indices_within(image, d.scale))
+    return tuple(d.row(d.space.nearest_index(image)))
 
 
 def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
     """Transition graph with edge x -> y iff (f(x), y) is in D.
 
-    Images are exact; the system of an iterate f^k uses k-fold images.
+    Images are exact, read from ``system.grid_images``; the system of an
+    iterate f^k uses k-fold images.  An image that is exactly grid point w
+    reads D's stored row of w, which for a metric entourage is the ball
+    that :func:`image_successors` would build.
     """
     if d.space != system.space:
         raise IncompatibleSpaceError("entourage is over a different space")
-    space = system.space
+    images = system.grid_images
 
     def row(x: int) -> tuple[int, ...]:
-        return image_successors(d, step(system, space.points[x]))
+        image, _, _, w = images[x]
+        return image_successors(d, image) if w is None else tuple(d.row(w))
 
-    rows = _parallel.ordered_map(row, range(space.n))
+    rows = _parallel.ordered_map(row, range(system.space.n))
     label = d.label if system.power == 1 else f"{d.label}|f^{system.power}"
-    return TransitionGraph(space.n, tuple(rows), (system.name, label))
+    return TransitionGraph(system.space.n, tuple(rows), (system.name, label))
 
 
 # ---------------------------------------------------------------------------

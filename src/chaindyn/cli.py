@@ -56,8 +56,10 @@ COMMANDS = (
 )
 STOCHASTIC_COMMANDS = frozenset({"shadowing", "dichotomy", "full"})
 
-#: Cap on n x horizon, the exact iterates a request may snap; it admits
-#: ``MAX_POINTS`` points at the default horizon of 100.
+#: Cap on each count of work a request may ask for (see ``main``): n x horizon
+#: snapped orbit cells, n x nmax^2 / 2 map applications, n x basis^2 row tests
+#: and (trials + 1) x basis x horizon pseudo-orbit steps.  It admits
+#: ``MAX_POINTS`` points at every default.
 MAX_ORBIT_CELLS = 2 ** 23
 
 
@@ -407,20 +409,30 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in STOCHASTIC_COMMANDS and seed is None:
             parser.error(f"--seed is required for '{args.command}' (no wall-clock default)")
         horizon = _pick(args.horizon, defaults, "horizon", 100)
-        if system.space.n * horizon > MAX_ORBIT_CELLS:
-            raise ResourceLimitError(
-                f"--horizon {horizon} on {system.space.n} points exceeds the cap of "
-                f"{MAX_ORBIT_CELLS} orbit cells (n x horizon)"
-            )
+        basis = _pick(args.basis, defaults, "basis", 8)
+        trials = _pick(args.trials, defaults, "trials", 20)
+        n_max = _pick(args.nmax, defaults, "nmax", 4)
+        n = system.space.n
+        for flag, value, cost, what in (
+            ("--horizon", horizon, n * horizon, "orbit cells (n x horizon)"),
+            ("--nmax", n_max, n * n_max * n_max // 2, "map applications (n x nmax^2 / 2)"),
+            ("--basis", basis, n * basis * basis, "half-scale row tests (n x basis^2)"),
+            ("--trials", trials, (trials + 1) * basis * horizon,
+             "pseudo-orbit steps ((trials + 1) x basis x horizon)"),
+        ):
+            if cost > MAX_ORBIT_CELLS:
+                raise ResourceLimitError(
+                    f"{flag} {value} on {n} points exceeds the cap of {MAX_ORBIT_CELLS} {what}"
+                )
         request = AnalysisRequest(
             system=system,
             command=args.command,
             epsilon=epsilon,
-            basis_levels=_pick(args.basis, defaults, "basis", 8),
+            basis_levels=basis,
             horizon=horizon,
-            trials=_pick(args.trials, defaults, "trials", 20),
+            trials=trials,
             seed=seed,
-            n_max=_pick(args.nmax, defaults, "nmax", 4),
+            n_max=n_max,
             x=_pick(args.x, defaults, "x", 0),
         )
         report = run(request)

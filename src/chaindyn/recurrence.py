@@ -77,43 +77,27 @@ class ReturnSetClassification:
         return "empty" in self.labels
 
 
-#: One step of an exact orbit: the snap of the image (None past h/2), the
-#: index w when the image is exactly grid point w (else None), and the image.
-_Step = tuple[int | None, int | None, tuple[float, ...]]
-
-
-def _snapped_orbit(
-    system: SystemSpec, start: int, horizon: int, steps: list[_Step | None]
-) -> list[int | None]:
+def _snapped_orbit(system: SystemSpec, start: int, horizon: int) -> list[int | None]:
     """Snaps of the exact orbit of grid point ``start``; None where a snap misses h/2.
 
-    While an iterate is exactly a grid point v, its image is v's image, since
-    the float arithmetic is deterministic; so the walk reads v's entry of
-    ``steps``, a table over the grid that the caller shares between the
-    orbits of one system and that is filled the first time an orbit reaches
-    v.  Off the grid the walk iterates the float coordinates and snaps each
-    image, and it returns to the table once an image lands exactly on a grid
-    point.  Either way every snap is the one the plain float loop would take.
+    While an iterate is exactly a grid point v, its image is v's entry of
+    ``system.grid_images``, since the float arithmetic is deterministic.  Off
+    the grid the walk iterates the float coordinates and snaps each image,
+    and it returns to the table once an image lands exactly on a grid point.
+    Either way every snap is the one the plain float loop would take.
     """
-    space = system.space
+    space, images = system.space, system.grid_images
     points, tol = space.points, space.resolution / 2 + COMPARISON_SLACK
-
-    def advance(coords: tuple[float, ...]) -> _Step:
-        image = iterate(system, coords, 1)
-        idx, dist = space.snap(image)
-        return (idx if dist <= tol else None, idx if image == points[idx] else None, image)
-
     out: list[int | None] = [start]
     at, coords = start, points[start]
     for _ in range(horizon):
         if at is None:
-            snapped, at, coords = advance(coords)
+            coords = iterate(system, coords, 1)
+            idx, dist = space.snap(coords)
+            at = idx if coords == points[idx] else None
         else:
-            entry = steps[at]
-            if entry is None:
-                entry = steps[at] = advance(points[at])
-            snapped, at, coords = entry
-        out.append(snapped)
+            coords, idx, dist, at = images[at]
+        out.append(idx if dist <= tol else None)
     return out
 
 
@@ -142,10 +126,8 @@ def return_times(
     us, vs = _check_sets(system, u, v)
     vset = set(vs)
     hits: set[int] = set()
-    steps: list[_Step | None] = [None] * system.space.n
     for x in us:
-        orbit = _snapped_orbit(system, x, horizon, steps)
-        for t, idx in enumerate(orbit):
+        for t, idx in enumerate(_snapped_orbit(system, x, horizon)):
             if idx is not None and idx in vset:
                 hits.add(t)
     kind = KIND_POINT_IN_SET if len(us) == 1 else KIND_SET_TO_SET
@@ -172,11 +154,13 @@ def nonwandering_points(
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     n = system.space.n
-    steps: list[_Step | None] = [None] * n
     # The snaps of each orbit at t >= 1; None (a missed snap) meets no ball.
-    visits = [frozenset(_snapped_orbit(system, u, horizon, steps)[1:]) for u in range(n)]
+    visits = [frozenset(_snapped_orbit(system, u, horizon)[1:]) for u in range(n)]
+    # One ball at a time, read from its row: a coarse scale never holds n
+    # index sets of up to n points at once.
+    balls = (frozenset(scale.row(x)) for x in range(n))
     return tuple(
-        x for x, ball in enumerate(scale.rows) if any(not visits[u].isdisjoint(ball) for u in ball)
+        x for x, ball in enumerate(balls) if any(not visits[u].isdisjoint(ball) for u in ball)
     )
 
 

@@ -27,7 +27,6 @@ proof, and every report says so.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -191,26 +190,26 @@ def generate_pseudo_orbit(
     def key(j: int) -> tuple[float, int]:
         return (space.distance(space.points[j], target_coords), j)
 
-    # On a sorted space with no restriction the successors form one index
-    # interval: uniform mode takes its r-th index in ascending order, and
-    # drift compares only the indices where the distance to the target can
-    # be least inside it: its ends, the target's bisection neighbours, and
-    # the two ends of the list (where the circle closes).
+    # Successors are those of the graph: an image that is exactly grid
+    # point w reads D's row of w, any other image the rule of
+    # image_successors.  On a sorted space with no restriction they form one
+    # index interval: uniform mode takes its r-th index in ascending order,
+    # and drift compares only its ends and the target's brackets, where the
+    # distance to the target can be least inside it.
     by_arc = d.arcs is not None and allowed is None
-    n = space.n
+    n, images = space.n, system.grid_images
     if by_arc and mode == MODE_DRIFT:
-        k = bisect_left(space._sorted, target_coords[0])
-        wraps = space.geometry.wraps
-        near = {j % n if wraps else j for j in (k - 1, k)} | {0, n - 1}
-        near = [j for j in near if 0 <= j < n]
+        near = space.brackets(target_coords[0])
 
-    def pick(image: Sequence[float]) -> int | None:
+    def pick(x: int) -> int | None:
+        image, _, _, w = images[x]
         if not by_arc:
-            succ = [y for y in image_successors(d, image) if y in allowed_set]
+            succ = image_successors(d, image) if w is None else d.row(w)
+            succ = [y for y in succ if y in allowed_set]
             if not succ:
                 return None
             return succ[rng.randrange(len(succ))] if mode == MODE_UNIFORM else min(succ, key=key)
-        arc = d.image_arc(image)
+        arc = space.arc_within(image, d.scale) if w is None else d.arcs[w]
         if arc is None:
             return None
         lo, hi = arc
@@ -220,28 +219,22 @@ def generate_pseudo_orbit(
         return min({lo, hi, *(j for j in near if arc_contains(arc, j))}, key=key)
 
     states = [start]
-    chosen: list[int] = []
-    x = start
     for i in range(length):
-        y = pick(step(system, space.points[x]))
+        y = pick(states[-1])
         if y is None:
             raise DiscretizationTooCoarseError(
                 f"step {i}: no legal successor inside D[f(x_{i})]"
             )
         states.append(y)
-        chosen.append(y)
-        x = y
-    return PseudoOrbit(tuple(states), d.label, seed, tuple(chosen))
+    return PseudoOrbit(tuple(states), d.label, seed, tuple(states[1:]))
 
 
 def verify_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec, d: Entourage) -> bool:
     """Re-check every step of an orbit against the D-membership predicate."""
-    space = system.space
-    for i in range(orbit.horizon):
-        image = step(system, space.points[orbit.states[i]])
-        if not entourage_holds(d, image, orbit.states[i + 1]):
-            return False
-    return True
+    images = system.grid_images
+    return all(
+        entourage_holds(d, images[x][0], y) for x, y in zip(orbit.states, orbit.states[1:])
+    )
 
 
 def find_shadow_point(
@@ -381,41 +374,24 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
     in within-tolerance mode: a level only fails on a pair whose image
     distance clears the scale by more than 1e-9.
     """
-    space = system.space
+    space, images = system.space, system.grid_images
     perm = grid_permutation(system)
     mode = "exact" if perm is not None else "tolerance"
-    images = None
-    if perm is None:
-        images = [step(system, p) for p in space.points]
-    levels = []
+    n, levels = space.n, []
     for lvl in basis.levels:
-        preserved = True
-        witness: tuple[int, int] | None = None
-        for x in range(space.n):
-            for y in range(space.n):
-                before = lvl.contains(x, y)
-                if perm is not None:
-                    after = lvl.contains(perm[x], perm[y])
-                    ok = before == after
-                else:
-                    assert images is not None
-                    dist = space.distance(images[x], images[y])
-                    if lvl.scale is not None:
-                        after = dist <= lvl.scale + COMPARISON_SLACK
-                        margin = abs(dist - lvl.scale)
-                        ok = before == after or margin <= 1e-9
-                    else:
-                        fx = space.nearest_index(images[x])
-                        fy = space.nearest_index(images[y])
-                        after = lvl.contains(fx, fy)
-                        ok = before == after
-                if not ok:
-                    preserved = False
-                    witness = (x, y)
-                    break
-            if not preserved:
-                break
-        levels.append(LevelIsobasism(lvl.label, preserved, witness))
+
+        def kept(x: int, y: int) -> bool:
+            before = lvl.contains(x, y)
+            if perm is not None:
+                return before == lvl.contains(perm[x], perm[y])
+            if lvl.scale is None:
+                return before == lvl.contains(images[x][1], images[y][1])
+            dist = space.distance(images[x][0], images[y][0])
+            after = dist <= lvl.scale + COMPARISON_SLACK
+            return before == after or abs(dist - lvl.scale) <= 1e-9
+
+        witness = next(((x, y) for x in range(n) for y in range(n) if not kept(x, y)), None)
+        levels.append(LevelIsobasism(lvl.label, witness is None, witness))
     return IsobasismReport(mode, tuple(levels))
 
 
@@ -427,11 +403,9 @@ def export_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec) -> str:
         f"# entourage: {orbit.entourage_label}",
         f"# seed: {orbit.seed}",
     ]
-    space = system.space
-    for i in range(orbit.horizon):
-        image = step(system, space.points[orbit.states[i]])
-        coords = ",".join(repr(c) for c in image)
-        lines.append(f"{orbit.states[i]} {coords} {orbit.states[i + 1]}")
+    for x, y in zip(orbit.states, orbit.states[1:]):
+        coords = ",".join(repr(c) for c in system.grid_images[x][0])
+        lines.append(f"{x} {coords} {y}")
     return "\n".join(lines) + "\n"
 
 

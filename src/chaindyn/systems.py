@@ -22,6 +22,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Sequence
 
@@ -121,6 +122,21 @@ class SystemSpec:
             raise ValidationError(f"{field} parameter missing")
         return self.params[0]
 
+    @cached_property
+    def grid_images(self) -> tuple[tuple[tuple[float, ...], int, float, int | None], ...]:
+        """The exact one-step image of every grid point, computed once per system.
+
+        Entry x holds the image of x under f^power, its snap index and
+        distance, and that index again when the image equals that grid point
+        exactly (tuple equality), else None.
+        """
+        space, out = self.space, []
+        for p in space.points:
+            image = step(self, p)
+            idx, dist = space.snap(image)
+            out.append((image, idx, dist, idx if image == space.points[idx] else None))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class MapEvaluation:
@@ -189,16 +205,9 @@ def grid_permutation(system: SystemSpec) -> tuple[int, ...] | None:
     """
     if system.permutation is not None and system.power == 1:
         return system.permutation
-    space = system.space
-    images = []
-    for p in space.points:
-        idx, dist = space.snap(step(system, p))
-        if dist > 1e-9:
-            return None
-        images.append(idx)
-    if sorted(images) != list(range(space.n)):
-        return None
-    return tuple(images)
+    # an image farther than 1e-9 from the grid leaves fewer than n indices
+    images = tuple(idx for _, idx, dist, _ in system.grid_images if dist <= 1e-9)
+    return images if sorted(images) == list(range(system.space.n)) else None
 
 
 # ---------------------------------------------------------------------------

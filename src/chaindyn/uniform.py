@@ -148,15 +148,25 @@ class FinitePhaseSpace:
                 best = d
         return best
 
+    def brackets(self, c: float) -> tuple[int, int, int, int]:
+        """Index 0, the two bisection neighbours of coordinate c, and n - 1, ascending.
+
+        Only for a sorted space.  Along it the distances to c fall and then
+        rise (on the circle they fall again toward the end), so the point of
+        an index interval nearest c is one of its ends or one of these.
+        """
+        xs = self._sorted
+        last, k = len(xs) - 1, bisect_left(xs, c)
+        return (0, k - 1 if k else 0, k if k <= last else last, last)
+
     def snap(self, coords: Sequence[float]) -> tuple[int, float]:
         """The grid point closest to ``coords`` and its distance; ties take the smaller index.
 
         In index order, a later point replaces the choice only when it is
-        closer by more than the slack.  On a sorted space the distances fall
-        toward ``coords`` and then rise (on the circle they fall again toward
-        the end), so the rule needs only the bisection neighbours and the
-        ends, visited in ascending order (a repeated candidate never wins
-        twice); their 1-D distances are computed here as ``distance`` does.
+        closer by more than the slack.  On a sorted space the rule needs only
+        the :meth:`brackets` of the coordinate, visited in ascending order (a
+        repeated candidate never wins twice); their 1-D distances are
+        computed here as ``distance`` does.
         """
         best_i, best_d = 0, math.inf
         xs = self._sorted
@@ -166,9 +176,8 @@ class FinitePhaseSpace:
                 if d < best_d - COMPARISON_SLACK:
                     best_i, best_d = i, d
             return best_i, best_d
-        c, last, wraps = coords[0], len(xs) - 1, self._wraps
-        k = bisect_left(xs, c)
-        for i in (0, k - 1 if k else 0, k if k <= last else last, last):
+        c, wraps = coords[0], self._wraps
+        for i in self.brackets(c):
             d = abs(c - xs[i])
             if wraps and 1.0 - d < d:
                 d = 1.0 - d
@@ -367,17 +376,6 @@ class Entourage:
         if self.arcs is not None:
             return arc_indices(self.arcs[x], self.n)
         return sorted(self.rows[x])
-
-    def image_arc(self, image: Sequence[float]) -> tuple[int, int] | None:
-        """The interval of indices D-close to an exact image point (``arcs`` only).
-
-        An image within the slack of its nearest grid point reads that
-        point's row; any other image gets its own ball, None when empty.
-        """
-        idx, dist = self.space.snap(image)
-        if dist <= COMPARISON_SLACK:
-            return self.arcs[idx]
-        return self.space.arc_within(image, self.scale)
 
     def contains(self, x: int, y: int) -> bool:
         if self.arcs is not None:

@@ -515,3 +515,22 @@ class TestResourceLimits:
         assert err.startswith("error: ResourceLimitError:")
         assert "--horizon" in err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nmax", "1000000"), ("--basis", "1000000"), ("--trials", "1000000000")],
+    )
+    def test_large_knob_is_refused_at_once(self, tmp_path, capsys, flag, value):
+        # every default fits the largest space
+        cost = {"--nmax": MAX_POINTS * 4 * 4 // 2, "--basis": MAX_POINTS * 8 * 8,
+                "--trials": (20 + 1) * 8 * 100}
+        assert cost[flag] <= cli.MAX_ORBIT_CELLS
+        spec = write_spec(tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 16\n")
+        start = time.perf_counter()
+        code = cli.main(["full", "--spec", spec, "--seed", "1", flag, value])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ResourceLimitError:")
+        assert flag in err
+        assert elapsed < 1.0

@@ -208,6 +208,44 @@ def test_grid_orbits_are_walked_by_index(monkeypatch):
     assert len(calls) <= s.space.n
 
 
+def test_exact_images_are_computed_once_per_system(monkeypatch):
+    # the graphs at two scales and the non-wandering estimate all read the
+    # system's one table of exact images, so each grid point is stepped once
+    from chaindyn import chaingraph, recurrence, shadowing, systems
+
+    s = doubling_system(64)
+    calls = []
+    original = systems.iterate
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (systems, chaingraph, recurrence, shadowing):
+        if getattr(module, "iterate", None) is original:
+            monkeypatch.setattr(module, "iterate", counted)
+    h = s.space.resolution
+    for r in (h, 2 * h):
+        build_transition_graph(s, make_epsilon_entourage(s.space, r))
+    nonwandering_points(s, make_epsilon_entourage(s.space, 2 * h), 100)
+    assert len(calls) == s.space.n
+
+
+def test_nonwandering_reads_one_ball_at_a_time(monkeypatch):
+    # a coarse scale holds nearly n points per ball; the estimate must not
+    # materialize all n index sets through Entourage.rows
+    from chaindyn import Entourage
+
+    s = doubling_system(256)
+    expected = nonwandering_bruteforce(s, make_epsilon_entourage(s.space, 0.5), 20)
+
+    def refuse(self):
+        raise AssertionError("Entourage.rows was built")
+
+    monkeypatch.setattr(Entourage, "rows", property(refuse))
+    assert nonwandering_points(s, make_epsilon_entourage(s.space, 0.5), 20) == expected
+
+
 class TestClassification:
     def test_full_window(self):
         r = ReturnTimeSet(tuple(range(101)), 100, "set-to-set")

@@ -33,9 +33,10 @@ from chaindyn import (
     square_system,
     verify_pseudo_orbit,
 )
+from chaindyn.chaingraph import image_successors
 from chaindyn.shadowing import candidate_levels, entourage_holds
 from chaindyn.systems import MapKind, SystemSpec
-from chaindyn.uniform import Geometry
+from chaindyn.uniform import FinitePhaseSpace, Geometry
 from oracles import pseudo_orbit_bruteforce, shadow_bruteforce, sorted_list_space
 
 CATALOG = {n: catalog_systems(n) for n in (8, 16)}
@@ -554,3 +555,66 @@ class TestExportImport:
         assert int(idx) == orbit.states[0]
         image = iterate(s, s.space.points[orbit.states[0]], 1)
         assert float(coords) == pytest.approx(image[0])
+
+
+@st.composite
+def closeness_relations(draw):
+    """A metric entourage on a sorted, unsorted or product-of-circles space, or an explicit one."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(("sorted", "unsorted", "product", "pairs")))
+    # distinct points, also on the circle, where 0.0 and 1.0 would coincide
+    coords = [k / 1000 for k in draw(st.lists(
+        st.integers(0, 999), min_size=n, max_size=n, unique=True))]
+    geometry = draw(st.sampled_from((Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE)))
+    if kind == "product":
+        other = draw(st.lists(st.integers(0, 999), min_size=n, max_size=n))
+        points = tuple((c, k / 1000) for c, k in zip(coords, other))
+        space = FinitePhaseSpace(points, Geometry.PRODUCT_OF_CIRCLES, 1.0)
+    elif kind == "unsorted":
+        space = FinitePhaseSpace(tuple((c,) for c in sorted(coords)[::-1]), geometry, 1.0)
+    else:
+        space = sorted_list_space(coords, geometry)
+    if kind == "pairs":
+        index = st.integers(0, n - 1)
+        return Entourage.from_pairs(space, draw(st.lists(st.tuples(index, index))), "pairs")
+    # a scale just below a pairwise distance puts that pair on the slack boundary
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    near = space.distance(space.points[i], space.points[j]) + draw(
+        st.sampled_from((-1e-12, -1.5e-12, -5e-13, 0.0)))
+    return make_epsilon_entourage(space, draw(st.one_of(
+        st.just(near), st.floats(1e-6, 1.0), st.sampled_from((0.5 - 1e-12, 0.5)))))
+
+
+class TestOneClosenessRule:
+    """Graph edges, pseudo-orbit steps and their verifier share one D-closeness rule."""
+
+    def test_image_just_off_the_grid_takes_its_own_ball(self):
+        # f(0.1) = 0.010000000000000002 lies 2e-18 from grid point 1, and grid
+        # point 0 is just outside the ball around it
+        space = FinitePhaseSpace(
+            tuple((round(k * 0.01, 2),) for k in range(101)), Geometry.INTERVAL, 0.01
+        )
+        s = SystemSpec("square-list", MapKind.SQUARE, space)
+        d = make_epsilon_entourage(space, 0.009999999999)
+        image = iterate(s, space.points[10], 1)
+        row = tuple(y for y in range(space.n) if entourage_holds(d, image, y))
+        assert build_transition_graph(s, d).succ[10] == row == (1, 2)
+        for seed in range(300):
+            orbit = generate_pseudo_orbit(s, d, 10, seed, start=10)
+            assert verify_pseudo_orbit(orbit, s, d), seed
+
+    @given(d=closeness_relations(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_image_successors_is_entourage_holds(self, d, data):
+        space = d.space
+        probes = list(space.points)
+        for p in space.points:
+            for delta in (5e-13, -5e-13, 2e-18, -2e-18):
+                probes.append(tuple(min(max(c + delta, 0.0), 1.0) for c in p))
+        unit = st.floats(0.0, 1.0)
+        probes += data.draw(st.lists(st.tuples(*[unit] * space.dimension), max_size=8))
+        for p in probes:
+            expected = tuple(y for y in range(space.n) if entourage_holds(d, p, y))
+            assert image_successors(d, p) == expected, p
+        for w, p in enumerate(space.points):
+            assert d.row(w) == list(image_successors(d, p)), w

@@ -88,7 +88,7 @@ def image_successors(d: Entourage, image: Sequence[float]) -> tuple[int, ...]:
     """Grid indices D-close to an exact image point, ascending.
 
     An entourage with a scale takes the closed ball of that radius around
-    the image (an index interval on a sorted space); an explicit relation
+    the image (an index run on a sorted space); an explicit relation
     reads the row of the image's nearest grid point.  This is the rule of
     ``shadowing.entourage_holds``, applied to every grid index.
     """

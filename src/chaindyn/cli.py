@@ -34,8 +34,10 @@ from .recurrence import nonwandering_points, omega_limit
 from .shadowing import disconnectedness_dichotomy, estimate_shadowing_modulus
 from .systems import SystemSpec, load_analysis_defaults, load_system, parse_spec
 from .uniform import (
+    MAX_ORBIT_CELLS,
     Entourage,
     UniformityBasis,
+    _check_epsilon,
     dyadic_basis,
     make_epsilon_entourage,
     verify_uniformity_axioms,
@@ -55,12 +57,6 @@ COMMANDS = (
     "full",
 )
 STOCHASTIC_COMMANDS = frozenset({"shadowing", "dichotomy", "full"})
-
-#: Cap on each count of work a request may ask for (see ``main``): n x horizon
-#: snapped orbit cells, n x nmax^2 / 2 map applications, n x basis^2 row tests
-#: and (trials + 1) x basis x horizon pseudo-orbit steps.  It admits
-#: ``MAX_POINTS`` points at every default.
-MAX_ORBIT_CELLS = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -405,6 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         system = load_system(args.spec, document)
         defaults = load_analysis_defaults(args.spec, document)
         epsilon = _pick(args.epsilon, defaults, "epsilon", 2 * system.space.resolution)
+        _check_epsilon(epsilon)  # every command echoes it, so even one that never uses it
         seed = _pick(args.seed, defaults, "seed", None)
         if args.command in STOCHASTIC_COMMANDS and seed is None:
             parser.error(f"--seed is required for '{args.command}' (no wall-clock default)")

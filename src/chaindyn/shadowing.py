@@ -45,7 +45,6 @@ from .uniform import (
     Geometry,
     UniformityBasis,
     arc_contains,
-    arc_size,
 )
 
 EVIDENCE_NOTE = "sampled evidence over seeded pseudo-orbits; not a proof"
@@ -193,7 +192,7 @@ def generate_pseudo_orbit(
     # Successors are those of the graph: an image that is exactly grid
     # point w reads D's row of w, any other image the rule of
     # image_successors.  On a sorted space with no restriction they form one
-    # index interval: uniform mode takes its r-th index in ascending order,
+    # index run: uniform mode takes its r-th index in ascending order,
     # and drift compares only its ends and the target's brackets, where the
     # distance to the target can be least inside it.
     by_arc = d.arcs is not None and allowed is None
@@ -214,9 +213,9 @@ def generate_pseudo_orbit(
             return None
         lo, hi = arc
         if mode == MODE_UNIFORM:
-            r = rng.randrange(arc_size(arc, n))
-            return lo + r if lo <= hi else (r if r <= hi else lo + r - hi - 1)
-        return min({lo, hi, *(j for j in near if arc_contains(arc, j))}, key=key)
+            r = rng.randrange(hi - lo + 1)
+            return lo + r if hi < n else (r if r <= hi - n else lo + r - hi + n - 1)
+        return min({lo, hi % n, *(j for j in near if arc_contains(arc, j, n))}, key=key)
 
     states = [start]
     for i in range(length):

@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .uniform import (
+    MAX_ORBIT_CELLS,
     MAX_POINTS,
     FinitePhaseSpace,
     Geometry,
@@ -391,10 +392,15 @@ def _separation(points: tuple[tuple[float, ...], ...], geometry: Geometry) -> fl
     rounding is monotone, so that pass gives the pair scan's value exactly.
     The circle keeps the scan: a distance taken around the wrap,
     ``1 - |a - b|``, rounds differently, so sorted neighbours can miss the
-    scan's minimum in the last bit.
+    scan's minimum in the last bit.  A scan past ``MAX_ORBIT_CELLS`` pairs
+    raises :class:`ResourceLimitError`.
     """
     probe = FinitePhaseSpace(points, geometry, 1.0)
     if geometry.wraps or probe.dimension > 1:
+        n = len(points)
+        if n * (n - 1) // 2 > MAX_ORBIT_CELLS:
+            raise ResourceLimitError(
+                f"points: {n} take {n * (n - 1) // 2} pair distances, past {MAX_ORBIT_CELLS}")
         pairs = combinations(points, 2)
     else:
         ordered = sorted(points)
@@ -466,10 +472,8 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
         cycles = [
             [_typed(i, int, "cycle index") for i in _typed(c, list, "cycle")] for c in cycles
         ]
-        sys_ = permutation_system(cycles, space.n, name=name)
-        if "points" in doc:
-            sys_ = SystemSpec(name, MapKind.PERMUTATION, space, (), sys_.permutation)
-        return sys_
+        perm = permutation_system(cycles, space.n, name=name).permutation
+        return SystemSpec(name, MapKind.PERMUTATION, space, (), perm)
     return SystemSpec(name, kind, space, params)
 
 

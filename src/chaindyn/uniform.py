@@ -17,10 +17,11 @@ Design notes baked into this module:
 * A relation is stored in one of two ways.  An explicit relation keeps one
   index set per row, which makes composition and cross sections plain set
   operations.  A metric entourage on a space with sorted 1-D coordinates
-  keeps one cyclic index interval per row instead, since a ball there is a
-  run of consecutive indices (wrapping on the circle); its index sets are
-  built only for callers that ask for them, and the relation queries and
-  the axiom check read the intervals in O(n) per level.
+  keeps one index run ``(lo, hi)`` per row instead, since a ball there is a
+  run of consecutive indices: ``0 <= lo < n`` and ``lo <= hi <= lo + n - 1``,
+  and ``hi >= n`` means the run wraps past n - 1 to 0 on the circle.  Its
+  index sets are built only for callers that ask for them, and the relation
+  queries and the axiom check read the runs in O(n) per level.
 * Circle distance is ``min(|a-b|, 1-|a-b|)`` per coordinate and product
   geometries take the coordinate-wise max, so an ``eps``-relation composed
   with itself stays inside the ``2*eps``-relation.
@@ -54,6 +55,10 @@ COMPARISON_SLACK = 1e-12
 
 #: Desk-scale cap on the size of a generated phase space.
 MAX_POINTS = 2 ** 16
+
+#: Cap on each count of work a request may ask for (see ``cli.main``) and on
+#: the pairs scanned for the separation of a circle or product ``points:`` list.
+MAX_ORBIT_CELLS = 2 ** 23
 
 
 class Geometry(Enum):
@@ -198,15 +203,15 @@ class FinitePhaseSpace:
         return [] if arc is None else arc_indices(arc, self.n)
 
     def arc_within(self, coords: Sequence[float], radius: float) -> tuple[int, int] | None:
-        """The grid indices within ``radius`` of ``coords`` as one cyclic interval.
+        """The grid indices within ``radius`` of ``coords`` as one index run.
 
-        Only for a sorted space.  ``(lo, hi)`` stands for lo..hi, or for
-        lo..n-1 and 0..hi when lo > hi; a ball that holds every point is
-        ``(0, n - 1)`` and an empty ball is None.  Along the indices the
-        distances fall toward ``coords`` and then rise, so the ball is a
-        slightly wider bisected window with both ends trimmed by the closed
-        predicate.  On the circle the window may run past either end of the
-        list: index j then stands for point j mod n one turn away.
+        Only for a sorted space.  ``(lo, hi)``, with 0 <= lo < n and lo <= hi
+        <= lo + n - 1, stands for the indices j mod n with lo <= j <= hi; an
+        empty ball is None.  Along the indices the distances fall toward
+        ``coords`` and then rise, so the ball is a slightly wider bisected
+        window, trimmed at both ends by the closed predicate, shifted by whole
+        turns and cut to n indices.  On the circle the window may run past
+        either end of the list: index j then stands for point j mod n.
         """
         xs, n, wraps = self._sorted, self.n, self._wraps
         bound = radius + COMPARISON_SLACK
@@ -230,39 +235,27 @@ class FinitePhaseSpace:
             hi -= 1
         if lo > hi:
             return None
-        if hi - lo + 1 >= n:
-            return (0, n - 1)
-        return (lo % n, hi % n)
+        turn = lo - lo % n
+        if hi - lo >= n:
+            hi = lo + n - 1
+        return (lo - turn, hi - turn)
 
 
 def arc_indices(arc: tuple[int, int], n: int) -> list[int]:
-    """The indices of a cyclic interval (see :meth:`FinitePhaseSpace.arc_within`), ascending."""
+    """The indices of an index run (see :meth:`FinitePhaseSpace.arc_within`), ascending."""
     lo, hi = arc
-    return list(range(lo, hi + 1)) if lo <= hi else [*range(hi + 1), *range(lo, n)]
+    return list(range(lo, hi + 1)) if hi < n else [*range(hi - n + 1), *range(lo, n)]
 
 
-def arc_size(arc: tuple[int, int], n: int) -> int:
+def arc_contains(arc: tuple[int, int], y: int, n: int) -> bool:
     lo, hi = arc
-    return hi - lo + 1 if lo <= hi else n - lo + hi + 1
-
-
-def arc_contains(arc: tuple[int, int], y: int) -> bool:
-    lo, hi = arc
-    return lo <= y <= hi if lo <= hi else (y >= lo or y <= hi)
+    return (y - lo) % n <= hi - lo
 
 
 def _arc_subset(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:
-    """Whether cyclic interval a lies inside b (both normalized, as built)."""
+    """Whether run a lies inside run b; a may start anywhere and be longer than n."""
     (a1, a2), (b1, b2) = a, b
-    if (b1, b2) == (0, n - 1):
-        return True
-    if a1 > a2:
-        # a holds both n-1 and 0, so b must wrap as well
-        return b1 > b2 and b1 <= a1 and a2 <= b2
-    if b1 <= b2:
-        return b1 <= a1 and a2 <= b2
-    # b is lo..n-1 plus 0..hi with a gap between: a lies on one side
-    return a1 >= b1 or a2 <= b2
+    return b2 - b1 >= n - 1 or (a1 - b1) % n + (a2 - a1) <= b2 - b1
 
 
 def _check_grid_size(n: int) -> None:
@@ -271,6 +264,12 @@ def _check_grid_size(n: int) -> None:
         raise InvalidParameterError("n must be >= 1")
     if n > MAX_POINTS:
         raise ResourceLimitError(f"{n} points exceed the cap of {MAX_POINTS}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Reject an entourage scale that is not positive and finite (NaN included)."""
+    if not 0 < epsilon < math.inf:
+        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
 def interval_grid(n: int) -> FinitePhaseSpace:
@@ -305,10 +304,10 @@ class Entourage:
 
     It is stored in one of two ways.  Explicitly listed relations keep the
     index sets ``rows`` themselves and are used by literal pair membership.
-    A metric entourage on a sorted space (see ``arc_within``) keeps one
-    cyclic interval per row in ``arcs`` and builds ``rows`` only when a
-    caller asks for them; the relation queries below read the intervals
-    when every entourage involved has them.  A metric entourage records the
+    A metric entourage on a sorted space keeps the run of each ball, as
+    ``arc_within`` returns it, in ``arcs`` and builds ``rows`` only when a
+    caller asks for them; the relation queries below read the runs when
+    every entourage involved has them.  A metric entourage records the
     ``scale`` (the epsilon that generated it); explicit relations keep
     ``scale=None``, unless a caller attaches one to explicit rows.
     """
@@ -379,7 +378,7 @@ class Entourage:
 
     def contains(self, x: int, y: int) -> bool:
         if self.arcs is not None:
-            return arc_contains(self.arcs[x], y)
+            return arc_contains(self.arcs[x], y, self.n)
         return y in self.rows[x]
 
     def pairs(self) -> Iterable[tuple[int, int]]:
@@ -389,13 +388,13 @@ class Entourage:
 
     def pair_count(self) -> int:
         if self.arcs is not None:
-            n = self.n
-            return sum(arc_size(arc, n) for arc in self.arcs)
+            return sum(hi - lo + 1 for lo, hi in self.arcs)
         return sum(len(row) for row in self.rows)
 
     def has_diagonal(self) -> bool:
         if self.arcs is not None:
-            return all(arc_contains(arc, i) for i, arc in enumerate(self.arcs))
+            n = self.n
+            return all(arc_contains(arc, i, n) for i, arc in enumerate(self.arcs))
         return all(i in row for i, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
@@ -439,9 +438,7 @@ class Entourage:
             return all(rows[z] <= ox for sx, ox in zip(rows, other.rows) for z in sx)
         lows, highs = ends
         for (lo, hi), arc in zip(zip(lows, highs), other.arcs):
-            a = lows[lo % n] + n * (lo // n)
-            b = highs[hi % n] + n * (hi // n)
-            union = (0, n - 1) if b - a + 1 >= n else (a % n, b % n)
+            union = (lows[lo % n] + n * (lo // n), highs[hi % n] + n * (hi // n))
             if not _arc_subset(union, arc, n):
                 return False
         return True
@@ -451,32 +448,22 @@ class Entourage:
         """Unrolled ends lows[x] <= x <= highs[x] of every row, if a staircase.
 
         Row x is lows[x]..highs[x] taken mod n, and row x + k*n is read as
-        the same interval shifted by k*n.  The relation is a staircase when
-        every row holds its centre and neither end ever moves back as x
-        goes once round, which metric balls on a sorted space satisfy.  A
-        row that holds every point can be read as any n consecutive
-        indices around x; it gets the first that keeps the previous row's
-        low end.  Else None, and the queries that need it read ``rows``.
+        the same run shifted by k*n.  A stored run that starts past x is
+        shifted back one turn.  The relation is a staircase when every row
+        then holds its centre and neither end ever moves back as x goes once
+        round, which metric balls on a sorted space satisfy.  Else None, and
+        the queries that need it read ``rows``.
         """
         if self.arcs is None:
             return None
         n = self.n
-        start = next((x for x, arc in enumerate(self.arcs) if arc_size(arc, n) < n), None)
-        if start is None:
-            return [0] * n, [n - 1] * n
         lows, highs = [0] * n, [0] * n
-        prev_lo = 0
-        for u in range(start, start + n):
-            x, turn = u % n, u - u % n
-            lo, hi = self.arcs[x]
-            if arc_size((lo, hi), n) == n:
-                lo = max(prev_lo, u - n + 1) - turn
-                hi = lo + n - 1
-            elif lo > hi:
-                lo, hi = (lo, hi + n) if x >= lo else (lo - n, hi)
-            if not lo <= x <= hi:
+        for x, (lo, hi) in enumerate(self.arcs):
+            if lo > x:
+                lo, hi = lo - n, hi - n
+            if hi < x:
                 return None
-            lows[x], highs[x], prev_lo = lo, hi, lo + turn
+            lows[x], highs[x] = lo, hi
         for ends in (lows, highs):
             if any(a > b for a, b in zip(ends, ends[1:] + [ends[0] + n])):
                 return None
@@ -486,12 +473,11 @@ class Entourage:
 def make_epsilon_entourage(space: FinitePhaseSpace, epsilon: float) -> Entourage:
     """The metric entourage {(x, y) : dist(x, y) <= epsilon}.
 
-    Reflexive and symmetric by construction; one interval per row on a
-    sorted space.  Raises :class:`InvalidParameterError` for non-positive
-    ``epsilon``.
+    Reflexive and symmetric by construction; one index run per row on a
+    sorted space.  Raises :class:`InvalidParameterError` unless
+    ``0 < epsilon < inf`` (so also for NaN).
     """
-    if epsilon <= 0:
-        raise InvalidParameterError("epsilon must be positive")
+    _check_epsilon(epsilon)
     label, scale = f"eps={epsilon:g}", float(epsilon)
     if space._sorted is not None:
         arcs = tuple(space.arc_within(p, epsilon) for p in space.points)

@@ -322,6 +322,7 @@ class TestErrorsAndDefaults:
                 "analysis.horizon",
             ),
             ("map: identity\ngeometry: interval\ngrid_n: true\n", "grid_n"),
+            ("map: permutation\ngeometry: circle\ngrid_n: 4\ncycles: [[0, 1]]\n", "geometry"),
         ],
     )
     def test_malformed_spec_is_a_validation_error(self, tmp_path, capsys, spec_text, field):
@@ -331,6 +332,19 @@ class TestErrorsAndDefaults:
         assert code == 1
         assert err.startswith("error: ValidationError:")
         assert field in err
+
+    @pytest.mark.parametrize(
+        "command, extra_spec, flags",
+        [("graph", "", ["--epsilon", "nan"]), ("axioms", "analysis: {epsilon: .inf}\n", [])],
+    )
+    def test_non_finite_epsilon_exits_one(self, tmp_path, capsys, command, extra_spec, flags):
+        # NaN and infinity are not JSON numbers, so no report may echo them
+        spec = write_spec(
+            tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 16\n" + extra_spec)
+        code = cli.main([command, "--spec", spec, "--format", "machine", *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: InvalidParameterError: epsilon")
 
     def test_exponent_without_dot_is_a_number(self, tmp_path, capsys):
         # YAML 1.1 reads 1e-1 as a string; the loader still takes it as a float
@@ -492,6 +506,12 @@ class TestResourceLimits:
         [
             "map: odometer\ngeometry: discrete\nparams: [40]\n",
             "map: identity\ngeometry: interval\ngrid_n: 1000000000\n",
+            # 4097 * 4096 / 2 circle pair distances exceed MAX_ORBIT_CELLS
+            pytest.param(
+                "map: identity\ngeometry: circle\npoints: [%s]\n"
+                % ", ".join(repr(k / 4097) for k in range(4097)),
+                id="circle-points-4097",
+            ),
         ],
     )
     def test_oversized_space_is_refused_at_once(self, tmp_path, capsys, spec_text):

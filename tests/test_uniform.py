@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -97,8 +98,9 @@ class TestEpsilonEntourage:
         assert all(len(row) == 5 for row in e.rows)
 
     def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(InvalidParameterError):
-            make_epsilon_entourage(interval_grid(3), 0.0)
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                make_epsilon_entourage(interval_grid(3), epsilon)
 
     def test_from_pairs_validates_indices(self):
         with pytest.raises(OutOfRangeError):
@@ -280,8 +282,37 @@ class TestIntervalEntourage:
             assert arc is None
         else:
             assert arc_indices(arc, space.n) == expected
-            assert len(expected) < space.n or arc == (0, space.n - 1)
+            lo, hi = arc
+            assert 0 <= lo < space.n and hi - lo + 1 == len(expected)
         assert space.indices_within((c,), r) == expected
+
+    @staticmethod
+    def assert_staircase_queries(space, radii):
+        # the diagonal, symmetry and half-scale tests read the stored runs
+        levels = [make_epsilon_entourage(space, r) for r in radii]
+        squares = [compose(e, e).is_subset(e) for e in levels]
+
+        def refuse(self):
+            raise AssertionError("Entourage.rows was built")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Entourage, "rows", property(refuse))
+            for r, square in zip(radii, squares):
+                e = make_epsilon_entourage(space, r)
+                assert e._ends is not None, r
+                assert e.is_symmetric() and e.has_diagonal(), r
+                assert e.square_is_subset(e) == square, r
+            assert verify_uniformity_axioms(dyadic_basis(space, 8)).all_ok
+
+    @given(space=sorted_spaces())
+    @settings(max_examples=200, deadline=None)
+    def test_metric_balls_form_a_staircase(self, space):
+        self.assert_staircase_queries(space, entourage_radii(space))
+
+    def test_full_ball_below_radius_half_is_a_staircase(self):
+        space = sorted_list_space([0.0, 0.250174, 0.47553, 0.531069, 0.622827, 1.0],
+                                  Geometry.CIRCLE)
+        self.assert_staircase_queries(space, [0.377173])
 
     def test_empty_off_grid_ball(self):
         space = circle_grid(8)

@@ -36,7 +36,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .shadowing import estimate_shadowing_modulus
-from .systems import SystemSpec, iterate
+from .systems import SystemSpec
 from .uniform import COMPARISON_SLACK, Entourage, UniformityBasis
 
 KIND_POINT_IN_SET = "point-in-set"
@@ -80,23 +80,25 @@ class ReturnSetClassification:
 def _snapped_orbit(system: SystemSpec, start: int, horizon: int) -> list[int | None]:
     """Snaps of the exact orbit of grid point ``start``; None where a snap misses h/2.
 
-    While an iterate is exactly a grid point v, its image is v's entry of
-    ``system.grid_images``, since the float arithmetic is deterministic.  Off
-    the grid the walk iterates the float coordinates and snaps each image,
-    and it returns to the table once an image lands exactly on a grid point.
-    Either way every snap is the one the plain float loop would take.
+    The walk of :meth:`SystemSpec.orbit_step`, inlined, which also returns
+    to the table once a float image lands exactly on a grid point: the snap
+    that places each image tells it so.  Every snap is the one the plain
+    float loop would take.
     """
-    space, images = system.space, system.grid_images
+    space, images, f = system.space, system.grid_images, system.float_step
     points, tol = space.points, space.resolution / 2 + COMPARISON_SLACK
+    snap = space.snap_value
     out: list[int | None] = [start]
-    at, coords = start, points[start]
+    at = start
     for _ in range(horizon):
         if at is None:
-            coords = iterate(system, coords, 1)
-            idx, dist = space.snap(coords)
-            at = idx if coords == points[idx] else None
+            c = f(c)
+            idx, dist = snap(c)
+            at = idx if c == points[idx][0] else None
         else:
-            coords, idx, dist, at = images[at]
+            image, idx, dist, at = images[at]
+            if at is None:
+                c = image[0]
         out.append(idx if dist <= tol else None)
     return out
 
@@ -236,12 +238,12 @@ def omega_limit(
         raise InvalidParameterError("need 0 < transient < horizon")
     radius = space.resolution / 2
     seen: set[int] = set()
-    coords = space.points[x]
+    coords, at = space.points[x], x
     for n in range(horizon + 1):
         if n >= transient:
             seen.update(space.indices_within(coords, radius))
         if n < horizon:
-            coords = iterate(system, coords, 1)
+            coords, at = system.orbit_step(coords, at)
     return tuple(sorted(seen))
 
 

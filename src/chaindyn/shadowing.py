@@ -37,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
 )
-from .systems import SystemSpec, grid_permutation, step
+from .systems import SystemSpec, grid_permutation
 from .uniform import (
     COMPARISON_SLACK,
     Entourage,
@@ -253,17 +253,17 @@ def find_shadow_point(
     """
     if e.space != system.space:
         raise IncompatibleSpaceError("entourage is over a different space")
-    space = system.space
+    points = system.space.points
     T = orbit.horizon
     best_y: int | None = None
     best_step: int | None = None
-    for y in sorted(candidates) if candidates is not None else range(space.n):
-        coords = space.points[y]
+    for y in sorted(candidates) if candidates is not None else range(len(points)):
+        coords, at = points[y], y
         for i, x in enumerate(orbit.states):
             if not entourage_holds(e, coords, x):
                 break
             if i < T:
-                coords = step(system, coords)
+                coords, at = system.orbit_step(coords, at)
         else:
             return ShadowReport(True, y, T, e.label, None, None)
         if best_step is None or i > best_step:

@@ -5,6 +5,8 @@ maps (rotation, doubling, tent, identity, square, permutation, odometer).
 Images are always computed from the exact formula in floating point, never
 by chaining grid snaps, so discretization error enters only when a
 transition graph or membership test snaps an image back onto the grid.
+Each formula is written once, in :attr:`SystemSpec.float_step`; ``iterate``,
+the table of grid images and every orbit walk apply it.
 
 User-defined systems load from a YAML document (see :func:`load_system`);
 the concrete syntax is fixed and documented in the README.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import yaml
 
@@ -124,6 +126,35 @@ class SystemSpec:
         return self.params[0]
 
     @cached_property
+    def float_step(self) -> Callable[[float], float] | None:
+        """f^power on the one coordinate of a one-dimensional space, built once per system.
+
+        This is the only place each map's formula is written.  None for the
+        permutation-backed kinds, which step through their stored
+        permutation, and for a space of more than one dimension.
+        """
+        if self.permutation is not None or self.space.dimension != 1:
+            return None
+        a = self.params[0] if self.params else 0.0  # the rotation angle or the tent slope
+        f = {
+            MapKind.IDENTITY: lambda c: c,
+            MapKind.ROTATION: lambda c: (c + a) % 1.0,
+            MapKind.DOUBLING: lambda c: (2.0 * c) % 1.0,
+            MapKind.TENT: lambda c: a * c if c <= 0.5 else a * (1.0 - c),
+            MapKind.SQUARE: lambda c: c * c,
+        }[self.kind]
+        power = self.power
+        if power == 1:
+            return f
+
+        def f_power(c: float) -> float:
+            for _ in range(power):
+                c = f(c)
+            return c
+
+        return f_power
+
+    @cached_property
     def grid_images(self) -> tuple[tuple[tuple[float, ...], int, float, int | None], ...]:
         """The exact one-step image of every grid point, computed once per system.
 
@@ -131,12 +162,27 @@ class SystemSpec:
         distance, and that index again when the image equals that grid point
         exactly (tuple equality), else None.
         """
-        space, out = self.space, []
+        space, f, out = self.space, self.float_step, []
         for p in space.points:
-            image = step(self, p)
+            image = iterate(self, p, 1) if f is None else (f(p[0]),)
             idx, dist = space.snap(image)
             out.append((image, idx, dist, idx if image == space.points[idx] else None))
         return tuple(out)
+
+    def orbit_step(
+        self, coords: tuple[float, ...], at: int | None
+    ) -> tuple[tuple[float, ...], int | None]:
+        """The exact image of ``coords`` under f^power, and the image's ``at``.
+
+        ``at`` is the grid index that ``coords`` equals exactly, or None.  On
+        the grid the image is read from :attr:`grid_images`, since the float
+        arithmetic is deterministic; off it, ``float_step`` gives it and
+        ``at`` stays None.  Only a float map leaves the grid.
+        """
+        if at is None:
+            return (self.float_step(coords[0]),), None
+        image, _, _, at = self.grid_images[at]
+        return image, at
 
 
 @dataclass(frozen=True)
@@ -145,24 +191,6 @@ class MapEvaluation:
 
     image: tuple[float, ...]
     nearest_index: int
-
-
-def _apply(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
-    """One exact application of the catalog map f, whatever the system's power."""
-    kind = system.kind
-    if kind == MapKind.IDENTITY:
-        return tuple(coords)
-    if kind == MapKind.ROTATION:
-        return ((coords[0] + system.params[0]) % 1.0,)
-    if kind == MapKind.DOUBLING:
-        return ((2.0 * coords[0]) % 1.0,)
-    if kind == MapKind.TENT:
-        slope = system.params[0]
-        c = coords[0]
-        return (slope * c if c <= 0.5 else slope * (1.0 - c),)
-    # the square map; permutation-backed kinds never get here, since iterate
-    # returns through their stored permutation
-    return (coords[0] * coords[0],)
 
 
 def step(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
@@ -174,16 +202,18 @@ def iterate(system: SystemSpec, coords: Sequence[float], n: int) -> tuple[float,
     """n-fold exact image under f^power (n >= 0): n * power applications of f."""
     if n < 0:
         raise InvalidParameterError("iterations must be >= 0")
-    n *= system.power
     if system.permutation is not None and n > 0:
         idx = system.space.nearest_index(coords)
-        for _ in range(n):
+        for _ in range(n * system.power):
             idx = system.permutation[idx]
         return system.space.points[idx]
-    out = tuple(coords)
+    f = system.float_step
+    if f is None:  # a permutation-backed map at n = 0, or a many-dimensional identity
+        return tuple(coords)
+    c = coords[0]
     for _ in range(n):
-        out = _apply(system, out)
-    return out
+        c = f(c)
+    return (c,)
 
 
 def evaluate(system: SystemSpec, x: int, iterations: int) -> MapEvaluation:

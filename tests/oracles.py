@@ -110,6 +110,40 @@ def snapped_orbit_bruteforce(system, start: int, horizon: int) -> list[int | Non
     return orbit
 
 
+def map_bruteforce(system, c: float) -> float:
+    """One application of the catalog map f to a single coordinate, by its formula.
+
+    The formulas are written out here apart from the library's;
+    ``SystemSpec.float_step`` must give the same floats, bit for bit.
+    """
+    kind = system.kind.value
+    if kind == "identity":
+        return c
+    if kind == "rotation":
+        return (c + system.params[0]) % 1.0
+    if kind == "doubling":
+        return (2.0 * c) % 1.0
+    if kind == "tent":
+        slope = system.params[0]
+        return slope * c if c <= 0.5 else slope * (1.0 - c)
+    if kind == "square":
+        return c * c
+    raise ValueError(f"{kind} has no float formula")
+
+
+def omega_limit_bruteforce(system, x: int, transient: int, horizon: int) -> tuple[int, ...]:
+    """Grid points within h/2 of some iterate f^t(x), transient <= t <= horizon, by full scans."""
+    from chaindyn.systems import iterate
+
+    space = system.space
+    coords, seen = space.points[x], set()
+    for t in range(horizon + 1):
+        if t >= transient:
+            seen.update(within_bruteforce(space, coords, space.resolution / 2))
+        coords = iterate(system, coords, 1)
+    return tuple(sorted(seen))
+
+
 def nonwandering_bruteforce(system, scale, horizon: int) -> tuple[int, ...]:
     """Non-wandering estimate by the per-u, per-t scan over snapped orbits.
 
@@ -270,3 +304,34 @@ def shadow_bruteforce(orbit, e, system, candidates=None):
     latest = max(scores.values())
     best = next(y for y, fail in scores.items() if fail == latest)
     return ShadowReport(False, None, T, e.label, latest, best)
+
+
+#: Lipschitz bounds of the catalog's interval and circle maps (tent slopes
+#: are capped at 2).
+LIPSCHITZ = {"identity": 1.0, "rotation": 1.0, "doubling": 2.0, "tent": 2.0, "square": 2.0}
+
+
+def continuity_modulus(system, r):
+    """omega(r): d(a, b) <= r implies d(f(a), f(b)) <= omega(r).
+
+    L * r for the interval and circle maps; for the grid-valued maps
+    (permutations, odometer) the exact maximum over pairs of grid points.
+    """
+    from chaindyn.systems import iterate
+
+    if system.kind.value in LIPSCHITZ:
+        return LIPSCHITZ[system.kind.value] * r
+    space = system.space
+    images = [iterate(system, p, 1) for p in space.points]
+    return max(
+        space.distance(images[a], images[b])
+        for a in range(space.n)
+        for b in range(space.n)
+        if space.distance(space.points[a], space.points[b]) <= r + 1e-12
+    )
+
+
+def chain_scale(system, r):
+    """D(r) = r + h/2 + omega(r): the chain scale that follows a return to the
+    r-ball (the two-scale containment of criterion 8, test_acceptance.py)."""
+    return r + system.space.resolution / 2 + continuity_modulus(system, r)

@@ -59,7 +59,6 @@ import time
 from chaindyn import (
     GOLDEN_ALPHA,
     GeneratorSet,
-    MapKind,
     build_transition_graph,
     cantor_space,
     catalog_systems,
@@ -75,7 +74,6 @@ from chaindyn import (
     interval_grid,
     is_chain_mixing,
     is_chain_transitive,
-    iterate,
     iterate_shadowing_check,
     make_epsilon_entourage,
     nonwandering_points,
@@ -88,7 +86,7 @@ from chaindyn import (
 )
 from chaindyn.chaingraph import ChainAnalysis
 from chaindyn.uniform import COMPARISON_SLACK
-from oracles import gcd_of, loop_lengths_bruteforce, random_strongly_connected
+from oracles import chain_scale, gcd_of, loop_lengths_bruteforce, random_strongly_connected
 
 
 def report(num: int, description: str, ok: bool) -> bool:
@@ -334,41 +332,6 @@ def test_criterion_7_iterate_invariance_echo():
         f"f vs f^n modulus outcomes agree (worst rate {worst:.2f} over 100 seeds)",
         worst >= 0.95,
     )
-
-
-#: Lipschitz bounds of the catalog's interval and circle maps (tent slopes
-#: are capped at 2).
-LIPSCHITZ = {
-    MapKind.IDENTITY: 1.0,
-    MapKind.ROTATION: 1.0,
-    MapKind.DOUBLING: 2.0,
-    MapKind.TENT: 2.0,
-    MapKind.SQUARE: 2.0,
-}
-
-
-def continuity_modulus(system, r):
-    """omega(r): d(a, b) <= r implies d(f(a), f(b)) <= omega(r).
-
-    L * r for the interval and circle maps; for the grid-valued maps
-    (permutations, odometer) the exact maximum over pairs of grid points.
-    """
-    if system.kind in LIPSCHITZ:
-        return LIPSCHITZ[system.kind] * r
-    space = system.space
-    images = [iterate(system, p, 1) for p in space.points]
-    return max(
-        space.distance(images[a], images[b])
-        for a in range(space.n)
-        for b in range(space.n)
-        if space.distance(space.points[a], space.points[b]) <= r + COMPARISON_SLACK
-    )
-
-
-def chain_scale(system, r):
-    """D(r) = r + h/2 + omega(r): the chain scale that follows a return
-    to the r-ball (module docstring)."""
-    return r + system.space.resolution / 2 + continuity_modulus(system, r)
 
 
 def test_criterion_8_recurrence_containments():

@@ -31,7 +31,9 @@ from chaindyn import (
 )
 
 from oracles import (
+    chain_scale,
     nonwandering_bruteforce,
+    omega_limit_bruteforce,
     return_times_bruteforce,
     weak_mixing_bruteforce,
 )
@@ -194,36 +196,28 @@ def test_snapped_orbits_match_the_float_loop(data):
     )
 
 
+def count_float_steps(monkeypatch, system):
+    """Count every float step of ``system``: ``iterate`` and the orbit walks all take it."""
+    calls, f = [], system.float_step
+    monkeypatch.setitem(vars(system), "float_step", lambda c: calls.append(1) or f(c))
+    return calls
+
+
 def test_grid_orbits_are_walked_by_index(monkeypatch):
     # every doubling image of a grid point is exactly a grid point, so each
     # point is stepped once however long the horizon
-    from chaindyn import recurrence
-
     s = doubling_system(4096)
     scale = make_epsilon_entourage(s.space, 2 * s.space.resolution)
-    calls = []
-    step = recurrence.iterate
-    monkeypatch.setattr(recurrence, "iterate", lambda *args: calls.append(1) or step(*args))
+    calls = count_float_steps(monkeypatch, s)
     nonwandering_points(s, scale, 100)
-    assert len(calls) <= s.space.n
+    assert 0 < len(calls) <= s.space.n
 
 
 def test_exact_images_are_computed_once_per_system(monkeypatch):
     # the graphs at two scales and the non-wandering estimate all read the
     # system's one table of exact images, so each grid point is stepped once
-    from chaindyn import chaingraph, recurrence, shadowing, systems
-
     s = doubling_system(64)
-    calls = []
-    original = systems.iterate
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    for module in (systems, chaingraph, recurrence, shadowing):
-        if getattr(module, "iterate", None) is original:
-            monkeypatch.setattr(module, "iterate", counted)
+    calls = count_float_steps(monkeypatch, s)
     h = s.space.resolution
     for r in (h, 2 * h):
         build_transition_graph(s, make_epsilon_entourage(s.space, r))
@@ -321,6 +315,19 @@ class TestOmegaLimit:
         # f(0.5) = 0.25 lies exactly between grid points 0 and 0.5; the closed
         # h/2 ball holds both, where a nearest-point snap would keep only 0
         assert omega_limit(square_system(3), 1, 1, 2) == (0, 1)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_iterate_loop_oracle(self, data):
+        # off-grid floats, grid re-entries, permutation and odometer orbits
+        system = data.draw(recurrence_systems() | st.sampled_from(
+            (*GRID_WALK_SYSTEMS, *catalog_systems(16))))
+        x = data.draw(st.integers(0, system.space.n - 1))
+        horizon = data.draw(st.integers(2, 60))
+        transient = data.draw(st.integers(1, horizon - 1))
+        assert omega_limit(system, x, transient, horizon) == omega_limit_bruteforce(
+            system, x, transient, horizon
+        )
 
 
 class TestOmegaRestriction:
@@ -420,6 +427,10 @@ class TestRecurrenceInvariants:
             )
         )
         assert omega <= cr_6h
+        # 6h is hand-picked; criterion 8 derives D(2h) = 6.5h for the same
+        # estimate, so the containment here stays the tighter claim
+        h = s.space.resolution
+        assert 6 * h <= chain_scale(s, 2 * h)
 
     def test_return_times_keep_appearing_on_equicontinuous_catalog(self):
         for system in catalog_systems(32):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaindyn import (
+    GOLDEN_ALPHA,
     DiscretizationTooCoarseError,
     Entourage,
     PseudoOrbit,
@@ -27,10 +28,13 @@ from chaindyn import (
     isobasism_check,
     iterate,
     iterate_shadowing_check,
+    load_system,
     make_epsilon_entourage,
+    odometer_system,
     permutation_system,
     rotation_system,
     square_system,
+    tent_system,
     verify_pseudo_orbit,
 )
 from chaindyn.chaingraph import image_successors
@@ -51,6 +55,21 @@ ORBIT_SYSTEMS = (
     SystemSpec("doubling-list", MapKind.DOUBLING, IRREGULAR_CIRCLE),
     SystemSpec("square-list", MapKind.SQUARE, sorted_list_space(IRREGULAR, Geometry.INTERVAL)),
     identity_system(sorted_list_space(IRREGULAR, Geometry.DISCRETE)),
+)
+
+
+#: Off-grid rotation, tent and square orbits, the odometer, and the identity on
+#: a Cantor set given as an explicit ``points:`` list.
+CANTOR_POINTS = load_system("cantor.yaml", {
+    "name": "cantor-points", "map": "identity", "geometry": "discrete",
+    "points": [p[0] for p in cantor_space(3).points],
+})
+SHADOW_SYSTEMS = (
+    rotation_system(GOLDEN_ALPHA, 16),
+    tent_system(1.5, 16),
+    square_system(17),
+    odometer_system(4),
+    CANTOR_POINTS,
 )
 
 
@@ -276,6 +295,31 @@ class TestFindShadowPoint:
             orbit = generate_pseudo_orbit(
                 system, d, data.draw(st.integers(1, 8)), data.draw(st.integers(0, 99)), mode
             )
+        candidates = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
+        got = find_shadow_point(orbit, e, system, candidates=candidates)
+        assert got == shadow_bruteforce(orbit, e, system, candidates)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle_off_the_grid_and_on_discrete_spaces(self, data):
+        # orbits that leave the grid step as floats, the rest read the table
+        system = data.draw(st.sampled_from(SHADOW_SYSTEMS))
+        if system.float_step is not None:
+            system = replace(system, power=data.draw(st.integers(1, 2)))
+        space, n = system.space, system.space.n
+        if data.draw(st.booleans()):
+            index = st.integers(0, n - 1)
+            e = Entourage.from_pairs(space, data.draw(st.lists(st.tuples(index, index))), "pairs")
+        else:
+            h = space.resolution
+            e = make_epsilon_entourage(space, data.draw(st.sampled_from([h / 2, h, 2 * h, 0.25])))
+        states = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+        if data.draw(st.booleans()):
+            # a true orbit's snaps, so that some candidate shadows for several steps
+            start = data.draw(st.integers(0, n - 1))
+            states = [space.nearest_index(iterate(system, space.points[start], t))
+                      for t in range(len(states))]
+        orbit = PseudoOrbit(tuple(states), "random", None, tuple(states[1:]))
         candidates = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
         got = find_shadow_point(orbit, e, system, candidates=candidates)
         assert got == shadow_bruteforce(orbit, e, system, candidates)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -24,12 +25,13 @@ from chaindyn import (
     odometer_system,
     permutation_system,
     rotation_system,
+    square_system,
     step,
     tent_system,
 )
 from chaindyn.systems import _separation, grid_permutation, load_analysis_defaults
-from chaindyn.uniform import MAX_POINTS
-from oracles import resolution_bruteforce
+from chaindyn.uniform import MAX_POINTS, FinitePhaseSpace
+from oracles import map_bruteforce, resolution_bruteforce
 
 
 class TestEvaluate:
@@ -97,6 +99,74 @@ class TestIteratedSystem:
         s = permutation_system([[0, 1, 2], [3, 4]], 5)
         perm = s.permutation
         assert grid_permutation(replace(s, power=2)) == tuple(perm[perm[i]] for i in range(5))
+
+
+#: Every kind with a float formula, at slopes and angles that leave the grid.
+FLOAT_SYSTEMS = (
+    identity_system(interval_grid(16)),
+    rotation_system(GOLDEN_ALPHA, 16),
+    rotation_system(0.25, 16),
+    rotation_system(0.999, 17),
+    doubling_system(15),
+    tent_system(2.0, 16),
+    tent_system(1.5, 16),
+    tent_system(0.05, 17),
+    square_system(17),
+)
+
+#: 0, 1 - 1 ulp, 1, and 0.5 with its neighbours, where the tent switches branch.
+EDGE_COORDS = (0.0, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+               math.nextafter(1.0, 0.0), 1.0)
+
+
+def formula_power(system, c, applications):
+    for _ in range(applications):
+        c = map_bruteforce(system, c)
+    return c
+
+
+class TestFloatStep:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_float_step_is_the_formula_bit_for_bit(self, data):
+        k = data.draw(st.integers(1, 4))
+        system = replace(data.draw(st.sampled_from(FLOAT_SYSTEMS)), power=k)
+        c = data.draw(st.sampled_from(EDGE_COORDS) | st.floats(0.0, 1.0))
+        assert system.float_step(c).hex() == formula_power(system, c, k).hex()
+        m = data.draw(st.integers(0, 3))
+        (image,) = iterate(system, (c,), m)
+        assert image.hex() == formula_power(system, c, k * m).hex()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_edge_coordinates_every_kind(self, k):
+        for system in FLOAT_SYSTEMS:
+            powered = replace(system, power=k)
+            for c in EDGE_COORDS:
+                assert powered.float_step(c).hex() == formula_power(system, c, k).hex(), (
+                    system.name, c)
+
+    def test_no_float_step_without_one_float_coordinate(self):
+        plane = FinitePhaseSpace(((0.1, 0.2), (0.3, 0.4), (0.3, 0.4)),
+                                 Geometry.PRODUCT_OF_CIRCLES, 0.2)
+        systems = (permutation_system([[0, 2, 1]], 3), odometer_system(3),
+                   identity_system(plane), replace(identity_system(plane), power=2))
+        for system in systems:
+            assert system.float_step is None, system.name
+            # so no orbit leaves the grid: every exact image is a grid point
+            assert all(at is not None for *_, at in system.grid_images), system.name
+            assert iterate(system, system.space.points[1], 0) == system.space.points[1]
+
+    @pytest.mark.parametrize("system", [*FLOAT_SYSTEMS, odometer_system(4)], ids=lambda s: s.name)
+    def test_orbit_step_walks_the_iterate_orbit(self, system):
+        for k in (1, 2):
+            powered = replace(system, power=k)
+            for x, p in enumerate(powered.space.points):
+                coords, at, expected = p, x, p
+                for _ in range(30):
+                    coords, at = powered.orbit_step(coords, at)
+                    expected = iterate(powered, expected, 1)
+                    assert coords == expected, (powered.name, k, x)
+                    assert at is None or coords == powered.space.points[at]
 
 
 class TestValidation:

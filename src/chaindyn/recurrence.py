@@ -150,20 +150,136 @@ def nonwandering_points(
     reaches 6h from the repelling fixed point 1; what it guarantees is
     that each flagged x lies within r of some u with |u - f^t(u)| at most
     2r + h/2 for some t >= 1.
+
+    Each orbit is walked as :func:`_snapped_orbit` walks it, with three
+    cuts that leave the set as the full n x horizon scan finds it:
+
+    * The orbit of u can flag only the points x whose ball holds u.  It is
+      skipped when all of them are flagged, and it stops once they are.
+    * On a metric entourage of a sorted space, an iterate farther than
+      2r + h/2 from u snaps into no ball that holds u, so it is stepped as
+      a float and not snapped.  Float arithmetic is deterministic, so
+      staying off the table there changes no later iterate.
+    * A walk that comes back exactly to an earlier iterate repeats its
+      snaps from there, so it stops: on the table at a grid index it has
+      visited, off it at a float fixed point.
     """
     if scale.space != system.space:
         raise IncompatibleSpaceError("entourage is over a different space")
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    n = system.space.n
-    # The snaps of each orbit at t >= 1; None (a missed snap) meets no ball.
-    visits = [frozenset(_snapped_orbit(system, u, horizon)[1:]) for u in range(n)]
-    # One ball at a time, read from its row: a coarse scale never holds n
-    # index sets of up to n points at once.
-    balls = (frozenset(scale.row(x)) for x in range(n))
-    return tuple(
-        x for x, ball in enumerate(balls) if any(not visits[u].isdisjoint(ball) for u in ball)
-    )
+    space, images, f = system.space, system.grid_images, system.float_step
+    points, n = space.points, space.n
+    tol, snap = space.resolution / 2 + COMPARISON_SLACK, space.snap_value
+    flags = bytearray(n)
+    if scale.arcs is not None and scale.scale is not None:
+        settle = _run_settler(scale.arcs, flags)
+        # two ball memberships and a snap, each with its slack, plus one for rounding
+        window = 2 * (scale.scale + COMPARISON_SLACK) + tol + COMPARISON_SLACK
+    else:
+        settle, window = _row_settler(scale.rows, flags), math.inf
+    wraps = space.geometry.wraps
+    seen = [-1] * n  # seen[a] == u: the walk of u has been exactly at grid point a
+    for u in range(n):
+        # None when every ball that holds u is flagged; else hit(s) flags the
+        # balls that a snap s puts u in, and tells whether all of them are now
+        hit = settle(u)
+        if hit is None:
+            continue
+        at, cu, seen[u] = u, points[u][0], u
+        for _ in range(horizon):
+            if at is None:
+                image = f(c)
+                if image == c:  # a float fixed point: each later step repeats the last
+                    break
+                c, idx = image, None
+            else:
+                image, idx, dist, at = images[at]
+                c = image[0]
+            d = abs(c - cu)
+            if wraps and d > 0.5:
+                d = 1.0 - d
+            if d <= window:
+                if idx is None:
+                    idx, dist = snap(c)
+                    at = idx if c == points[idx][0] else None
+                if dist <= tol and hit(idx):
+                    break
+            if at is not None:
+                if seen[at] == u:
+                    break
+                seen[at] = u
+    return tuple(x for x in range(n) if flags[x])
+
+
+def _run_pieces(arc: tuple[int, int], n: int) -> tuple[tuple[int, int], ...]:
+    """An index run as one or two ascending ranges ``(a, b)`` within 0..n - 1."""
+    lo, hi = arc
+    return ((lo, hi),) if hi < n else ((lo, n - 1), (0, hi - n))
+
+
+def _run_settler(arcs: tuple[tuple[int, int], ...], flags: bytearray):
+    """The settler of :func:`nonwandering_points` on a metric entourage held as runs.
+
+    Balls are symmetric there, so the points whose ball holds u are u's own
+    run, and a snap s flags the points of u's run inside s's run.  The
+    flags are read and written as slices of those runs.
+    """
+    n = len(arcs)
+
+    def settled(pieces: tuple[tuple[int, int], ...]) -> bool:
+        return all(flags.find(0, a, b + 1) < 0 for a, b in pieces)
+
+    def settle(u: int):
+        mine = _run_pieces(arcs[u], n)
+        if settled(mine):
+            return None
+
+        def hit(s: int) -> bool:
+            for a, b in mine:
+                for c, d in _run_pieces(arcs[s], n):
+                    lo, hi = max(a, c), min(b, d)
+                    if lo <= hi:
+                        flags[lo : hi + 1] = b"\x01" * (hi + 1 - lo)
+            return settled(mine)
+
+        return hit
+
+    return settle
+
+
+def _row_settler(rows: tuple[frozenset[int], ...], flags: bytearray):
+    """The settler of :func:`nonwandering_points` on explicit rows.
+
+    The points whose row holds u are column u of the relation.  A snap is
+    first tested against the union of the unflagged rows, so the pending
+    points are scanned only when the snap flags one of them.
+    """
+    cols: list[list[int]] = [[] for _ in rows]
+    for x, row in enumerate(rows):
+        for y in row:
+            cols[y].append(x)
+
+    def settle(u: int):
+        pending = [x for x in cols[u] if not flags[x]]
+        if not pending:
+            return None
+        reach = frozenset().union(*(rows[x] for x in pending))
+
+        def hit(s: int) -> bool:
+            nonlocal pending, reach
+            if s not in reach:
+                return False
+            for x in pending:
+                if s in rows[x]:
+                    flags[x] = 1
+            pending = [x for x in pending if not flags[x]]
+            reach = frozenset().union(*(rows[x] for x in pending))
+            return not pending
+
+        return hit
+
+    return settle
 
 
 def classify_return_set(r: ReturnTimeSet) -> ReturnSetClassification:
@@ -214,13 +330,22 @@ def weak_mixing_witness(
     """Least n >= 1 in both N_f(U, U) and N_f(U, V), or None within the horizon.
 
     A common return time of U to itself and of U to V is the finite
-    signature of weak mixing.
+    signature of weak mixing.  Each orbit of U is walked once, and both
+    hitting sets are read from its snaps.
     """
     us, vs = _check_sets(system, u, v)
-    uu = set(return_times(system, us, us, horizon).times)
-    uv = set(return_times(system, us, vs, horizon).times)
-    common = sorted(t for t in uu & uv if t >= 1)
-    return common[0] if common else None
+    if horizon < 1:
+        raise InvalidParameterError("horizon must be >= 1")
+    uset, vset = set(us), set(vs)
+    uu: set[int] = set()
+    uv: set[int] = set()
+    for x in us:
+        for t, idx in enumerate(_snapped_orbit(system, x, horizon)[1:], 1):
+            if idx in uset:
+                uu.add(t)
+            if idx in vset:
+                uv.add(t)
+    return min(uu & uv, default=None)
 
 
 def omega_limit(

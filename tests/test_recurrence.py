@@ -1,9 +1,16 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaindyn import (
     GOLDEN_ALPHA,
+    Entourage,
+    FinitePhaseSpace,
+    Geometry,
+    MapKind,
+    SystemSpec,
     InvalidParameterError,
     NoNonwanderingPointsError,
     ReturnTimeSet,
@@ -18,11 +25,14 @@ from chaindyn import (
     identity_system,
     interval_grid,
     iterate,
+    load_system,
     make_epsilon_entourage,
     nonwandering_points,
     omega_limit,
     omega_restriction_shadowing,
     omega_subset_of_chain_recurrent,
+    odometer_system,
+    permutation_system,
     return_times,
     rotation_system,
     square_system,
@@ -238,6 +248,118 @@ def test_nonwandering_reads_one_ball_at_a_time(monkeypatch):
 
     monkeypatch.setattr(Entourage, "rows", property(refuse))
     assert nonwandering_points(s, make_epsilon_entourage(s.space, 0.5), 20) == expected
+
+
+# Entourages and orbits that the non-wandering walk treats apart: explicit
+# relations (read through their transpose), coarse runs up to the full run,
+# discrete and two-dimensional spaces, and grid orbits that cycle early.
+
+
+def test_nonwandering_reads_explicit_rows_through_their_transpose():
+    # row 0 is {4} and row 4 is empty, so only the orbit of 4 can flag 0;
+    # it comes back to 4 at t = 4
+    s = rotation_system(0.25, 16)
+    one = Entourage.from_pairs(s.space, [(0, 4)], "one", close=False)
+    assert nonwandering_points(s, one, 4) == (0,)
+    assert nonwandering_points(s, one, 3) == ()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_nonwandering_matches_scan_oracle_on_explicit_relations(data):
+    system = data.draw(recurrence_systems() | st.sampled_from(catalog_systems(16)))
+    index = st.integers(0, system.space.n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=3 * system.space.n))
+    scale = Entourage.from_pairs(system.space, pairs, "pairs", close=data.draw(st.booleans()))
+    horizon = data.draw(st.sampled_from((1, 7, 100)))
+    assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
+        system, scale, horizon
+    )
+
+
+@pytest.mark.parametrize("n", [7, 16, 33])
+def test_nonwandering_matches_scan_oracle_at_coarse_circle_scales(n):
+    systems = (rotation_system(GOLDEN_ALPHA, n), rotation_system(0.3, n), doubling_system(n))
+    for system in systems:
+        for r in (0.1, 0.3, 0.5):
+            scale = make_epsilon_entourage(system.space, r)
+            if r == 0.5:
+                assert set(scale.arcs) == {(0, n - 1)}
+            for horizon in (1, 7, 100):
+                assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
+                    system, scale, horizon
+                ), (system.name, r, horizon)
+
+
+def test_nonwandering_matches_scan_oracle_on_discrete_systems():
+    cantor = load_system(str(Path(__file__).resolve().parents[1] / "specs" / "cantor3.yaml"))
+    shift = permutation_system([[0, 3, 5], [1, 2]], 8)
+    for system in (cantor, identity_system(cantor_space(4)), odometer_system(3),
+                   odometer_system(5), shift):
+        h = system.space.resolution
+        for r in (h / 2, h, 2 * h, 0.03, 0.3):
+            scale = make_epsilon_entourage(system.space, r)
+            for horizon in (1, 7, 100):
+                assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
+                    system, scale, horizon
+                ), (system.name, r, horizon)
+
+
+def test_nonwandering_matches_scan_oracle_on_a_plane():
+    points = tuple((i / 4, j / 4) for i in range(4) for j in range(4))
+    torus = FinitePhaseSpace(points, Geometry.PRODUCT_OF_CIRCLES, 0.25)
+    plane = FinitePhaseSpace(points, Geometry.DISCRETE, 0.25, gap=0.25)
+    perm = tuple((k + 4) % 16 for k in range(16))  # (i, j) -> (i + 1/4, j)
+    systems = (identity_system(torus), SystemSpec("shift", MapKind.PERMUTATION, plane, (), perm))
+    for system in systems:
+        for r in (0.1, 0.25, 0.5):
+            scale = make_epsilon_entourage(system.space, r)
+            for horizon in (1, 3, 4, 7):
+                assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
+                    system, scale, horizon
+                ), (system.name, r, horizon)
+
+
+@pytest.mark.parametrize(
+    "system", [rotation_system(0.25, 16), doubling_system(16), doubling_system(32)],
+    ids=lambda s: f"{s.name}-{s.space.n}")
+def test_nonwandering_matches_scan_oracle_on_grid_cycles(system):
+    # the quarter rotation comes back to its start at t = 4, and doubling on
+    # 2^k points falls onto the fixed point 0 within k steps
+    h = system.space.resolution
+    for r in (h / 2, h, 2 * h, 0.1):
+        scale = make_epsilon_entourage(system.space, r)
+        for horizon in (1, 3, 4, 5, 7, 100):
+            assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
+                system, scale, horizon
+            ), (r, horizon)
+
+
+def test_nonwandering_snaps_only_near_each_orbit_start(monkeypatch):
+    s = rotation_system(GOLDEN_ALPHA, 160)
+    scale = make_epsilon_entourage(s.space, 2 * s.space.resolution)
+    calls, snap_value = [], FinitePhaseSpace.snap_value
+    monkeypatch.setattr(
+        FinitePhaseSpace, "snap_value", lambda self, c: calls.append(1) or snap_value(self, c)
+    )
+    assert nonwandering_points(s, scale, 100) == tuple(range(160))
+    # the n snaps of the table of exact images are counted too
+    assert 0 < len(calls) <= 160 * 100 // 10
+
+
+def test_weak_mixing_walks_each_orbit_once(monkeypatch):
+    s = rotation_system(GOLDEN_ALPHA, 64)
+    s.grid_images  # the steps of the table are not counted
+    u, v, horizon = range(6), range(20, 26), 50
+    calls = count_float_steps(monkeypatch, s)
+    return_times(s, u, v, horizon)
+    # the golden orbits never land on the grid, so each takes one table read
+    # and then one float step per time
+    assert len(calls) == len(u) * (horizon - 1)
+    expected = weak_mixing_bruteforce(s, u, v, horizon)
+    calls.clear()
+    assert weak_mixing_witness(s, u, v, horizon) == expected
+    assert len(calls) == len(u) * (horizon - 1)
 
 
 class TestClassification:

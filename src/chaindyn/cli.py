@@ -44,18 +44,6 @@ from .uniform import (
 )
 
 SCHEMA_VERSION = "1"
-COMMANDS = (
-    "axioms",
-    "graph",
-    "chains",
-    "mixing",
-    "diameter",
-    "shadowing",
-    "dichotomy",
-    "recurrence",
-    "omega",
-    "full",
-)
 STOCHASTIC_COMMANDS = frozenset({"shadowing", "dichotomy", "full"})
 
 
@@ -274,6 +262,7 @@ _STAGES = {
     "recurrence": _recurrence_stage,
     "omega": _omega_stage,
 }
+COMMANDS = (*_STAGES, "full")
 
 FULL_ORDER = (
     "axioms",
@@ -447,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(payload)
         else:
             sys.stdout.buffer.write(payload)
-    except ChainDynError as exc:
+    except (ChainDynError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .shadowing import estimate_shadowing_modulus
 from .systems import SystemSpec
-from .uniform import COMPARISON_SLACK, Entourage, UniformityBasis
+from .uniform import COMPARISON_SLACK, Entourage, UniformityBasis, run_mask
 
 KIND_POINT_IN_SET = "point-in-set"
 KIND_SET_TO_SET = "set-to-set"
@@ -152,10 +152,15 @@ def nonwandering_points(
     2r + h/2 for some t >= 1.
 
     Each orbit is walked as :func:`_snapped_orbit` walks it, with three
-    cuts that leave the set as the full n x horizon scan finds it:
+    cuts that leave the set as the full n x horizon scan finds it.  The
+    flags are one int, and col(u), the points x whose ball holds u, is a
+    bit mask: u's own run on a metric entourage of a sorted space, where
+    balls are symmetric, and else a column of the transposed rows, built
+    once.
 
-    * The orbit of u can flag only the points x whose ball holds u.  It is
-      skipped when all of them are flagged, and it stops once they are.
+    * The orbit of u can flag only col(u).  It is skipped when all of col(u)
+      is flagged, and it stops once it is; a snap s within h/2 flags
+      col(u) & col(s).
     * On a metric entourage of a sorted space, an iterate farther than
       2r + h/2 from u snaps into no ball that holds u, so it is stepped as
       a float and not snapped.  Float arithmetic is deterministic, so
@@ -171,20 +176,26 @@ def nonwandering_points(
     space, images, f = system.space, system.grid_images, system.float_step
     points, n = space.points, space.n
     tol, snap = space.resolution / 2 + COMPARISON_SLACK, space.snap_value
-    flags = bytearray(n)
-    if scale.arcs is not None and scale.scale is not None:
-        settle = _run_settler(scale.arcs, flags)
+    arcs = scale.arcs
+    if arcs is not None and scale.scale is not None:
+        def col(u: int) -> int:
+            return run_mask(arcs[u], n)
+
         # two ball memberships and a snap, each with its slack, plus one for rounding
         window = 2 * (scale.scale + COMPARISON_SLACK) + tol + COMPARISON_SLACK
     else:
-        settle, window = _row_settler(scale.rows, flags), math.inf
+        cols = [0] * n
+        for x, row in enumerate(scale.rows):
+            bit = 1 << x
+            for y in row:
+                cols[y] |= bit
+        col, window = cols.__getitem__, math.inf
     wraps = space.geometry.wraps
+    flags = 0
     seen = [-1] * n  # seen[a] == u: the walk of u has been exactly at grid point a
     for u in range(n):
-        # None when every ball that holds u is flagged; else hit(s) flags the
-        # balls that a snap s puts u in, and tells whether all of them are now
-        hit = settle(u)
-        if hit is None:
+        mine = col(u)
+        if flags & mine == mine:
             continue
         at, cu, seen[u] = u, points[u][0], u
         for _ in range(horizon):
@@ -203,83 +214,15 @@ def nonwandering_points(
                 if idx is None:
                     idx, dist = snap(c)
                     at = idx if c == points[idx][0] else None
-                if dist <= tol and hit(idx):
-                    break
+                if dist <= tol and (hit := mine & col(idx)):
+                    flags |= hit
+                    if flags & mine == mine:
+                        break
             if at is not None:
                 if seen[at] == u:
                     break
                 seen[at] = u
-    return tuple(x for x in range(n) if flags[x])
-
-
-def _run_pieces(arc: tuple[int, int], n: int) -> tuple[tuple[int, int], ...]:
-    """An index run as one or two ascending ranges ``(a, b)`` within 0..n - 1."""
-    lo, hi = arc
-    return ((lo, hi),) if hi < n else ((lo, n - 1), (0, hi - n))
-
-
-def _run_settler(arcs: tuple[tuple[int, int], ...], flags: bytearray):
-    """The settler of :func:`nonwandering_points` on a metric entourage held as runs.
-
-    Balls are symmetric there, so the points whose ball holds u are u's own
-    run, and a snap s flags the points of u's run inside s's run.  The
-    flags are read and written as slices of those runs.
-    """
-    n = len(arcs)
-
-    def settled(pieces: tuple[tuple[int, int], ...]) -> bool:
-        return all(flags.find(0, a, b + 1) < 0 for a, b in pieces)
-
-    def settle(u: int):
-        mine = _run_pieces(arcs[u], n)
-        if settled(mine):
-            return None
-
-        def hit(s: int) -> bool:
-            for a, b in mine:
-                for c, d in _run_pieces(arcs[s], n):
-                    lo, hi = max(a, c), min(b, d)
-                    if lo <= hi:
-                        flags[lo : hi + 1] = b"\x01" * (hi + 1 - lo)
-            return settled(mine)
-
-        return hit
-
-    return settle
-
-
-def _row_settler(rows: tuple[frozenset[int], ...], flags: bytearray):
-    """The settler of :func:`nonwandering_points` on explicit rows.
-
-    The points whose row holds u are column u of the relation.  A snap is
-    first tested against the union of the unflagged rows, so the pending
-    points are scanned only when the snap flags one of them.
-    """
-    cols: list[list[int]] = [[] for _ in rows]
-    for x, row in enumerate(rows):
-        for y in row:
-            cols[y].append(x)
-
-    def settle(u: int):
-        pending = [x for x in cols[u] if not flags[x]]
-        if not pending:
-            return None
-        reach = frozenset().union(*(rows[x] for x in pending))
-
-        def hit(s: int) -> bool:
-            nonlocal pending, reach
-            if s not in reach:
-                return False
-            for x in pending:
-                if s in rows[x]:
-                    flags[x] = 1
-            pending = [x for x in pending if not flags[x]]
-            reach = frozenset().union(*(rows[x] for x in pending))
-            return not pending
-
-        return hit
-
-    return settle
+    return tuple(x for x, b in enumerate(reversed(f"{flags:b}")) if b == "1")
 
 
 def classify_return_set(r: ReturnTimeSet) -> ReturnSetClassification:

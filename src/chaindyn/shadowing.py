@@ -37,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
 )
-from .systems import SystemSpec, grid_permutation
+from .systems import SystemSpec, grid_permutation, identity_system
 from .uniform import (
     COMPARISON_SLACK,
     Entourage,
@@ -462,7 +462,6 @@ def disconnectedness_dichotomy(
     """
     if e.space != space:
         raise IncompatibleSpaceError("entourage is over a different space")
-    from .systems import identity_system
 
     # an entourage is symmetric, so its strongly connected components are
     # the connected components of the scale relation

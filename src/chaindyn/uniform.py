@@ -258,6 +258,18 @@ def arc_indices(arc: tuple[int, int], n: int) -> list[int]:
     return list(range(lo, hi + 1)) if hi < n else [*range(hi - n + 1), *range(lo, n)]
 
 
+def run_mask(arc: tuple[int, int], n: int) -> int:
+    """The indices of an index run as a bit mask: bit j is set for each index j.
+
+    A run that wraps folds its bits from n on down to 0; one that does not
+    is returned as it is, since building the n-bit fold mask costs more
+    than the rest.
+    """
+    lo, hi = arc
+    m = ((1 << (hi - lo + 1)) - 1) << lo
+    return m if hi < n else (m | m >> n) & ((1 << n) - 1)
+
+
 def arc_contains(arc: tuple[int, int], y: int, n: int) -> bool:
     lo, hi = arc
     return (y - lo) % n <= hi - lo

@@ -346,6 +346,23 @@ class TestErrorsAndDefaults:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: InvalidParameterError: epsilon")
 
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--out", "out"), ("--dump-graph", "dump_graph")],
+        ids=["out", "dump-graph"],
+    )
+    @pytest.mark.parametrize("from_spec", [False, True], ids=["flag", "spec"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, flag, key, from_spec):
+        target = str(tmp_path / "missing" / "r.txt")
+        analysis = f"analysis: {{{key}: '{target}'}}\n" if from_spec else ""
+        spec = write_spec(
+            tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 16\n" + analysis)
+        code = cli.main(["graph", "--spec", spec] + ([] if from_spec else [flag, target]))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: FileNotFoundError:")
+        assert captured.err.count("\n") == 1 and target in captured.err
+
     def test_exponent_without_dot_is_a_number(self, tmp_path, capsys):
         # YAML 1.1 reads 1e-1 as a string; the loader still takes it as a float
         spec = write_spec(

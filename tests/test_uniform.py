@@ -27,7 +27,7 @@ from chaindyn import (
     refining_entourage,
     verify_uniformity_axioms,
 )
-from chaindyn.uniform import arc_indices
+from chaindyn.uniform import arc_indices, run_mask
 from oracles import ball_bruteforce, nearest_bruteforce, sorted_list_space, within_bruteforce
 
 
@@ -288,6 +288,24 @@ class TestIntervalEntourage:
             lo, hi = arc
             assert 0 <= lo < space.n and hi - lo + 1 == len(expected)
         assert space.indices_within((c,), r) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_run_mask_bits_are_the_run_indices(self, data):
+        # every ball of one radius plus one off-grid probe: the drawn radii
+        # give singletons (0 and h/2), runs that wrap past n - 1 on the
+        # circle, and the full run (0, n - 1) (0.5 and 1)
+        space = data.draw(sorted_spaces())
+        c = data.draw(st.one_of(
+            st.sampled_from(structured_probes(space)), st.floats(min_value=0.0, max_value=1.0)))
+        r = data.draw(st.one_of(
+            st.sampled_from((0.0, *entourage_radii(space))),
+            st.floats(min_value=0.0, max_value=1.0)))
+        n = space.n
+        for arc in filter(None, (space.arc_within(p, r) for p in (*space.points, (c,)))):
+            mask = run_mask(arc, n)
+            assert mask >> n == 0
+            assert [j for j in range(n) if mask >> j & 1] == sorted(arc_indices(arc, n))
 
     @staticmethod
     def assert_staircase_queries(space, radii):

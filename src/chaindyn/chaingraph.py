@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _parallel
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     UndefinedDiameterError,
 )
 from .systems import SystemSpec
-from .uniform import Entourage
+from .uniform import Entourage, mask_indices
 
 __all__ = [
     "TransitionGraph",
@@ -185,20 +185,6 @@ def is_chain_transitive(g: TransitionGraph) -> bool:
     return ChainAnalysis.from_graph(g).transitive
 
 
-def _bfs_levels(g: TransitionGraph, root: int, members: set[int]) -> dict[int, int]:
-    levels = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.succ[u]:
-                if v in members and v not in levels:
-                    levels[v] = levels[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return levels
-
-
 def _per_component(values: tuple, component: int):
     if not 0 <= component < len(values):
         raise OutOfRangeError(f"no component labeled {component}")
@@ -267,24 +253,19 @@ def chain_diameter(g: TransitionGraph) -> int:
     For a pair (x, x) the length of the shortest cycle through x is used.
     Defined only for chain transitive graphs.
 
-    A bit-parallel BFS: ``reach[v]`` holds the sources with a walk of
-    length 1..rounds ending at v; the diameter is the first round that
-    fills every mask.
+    A bit-parallel BFS: ``reach[u]`` holds the targets of a walk of
+    length 1..rounds from u; the diameter is the first round that fills
+    every mask.
     """
-    preds: list[list[int]] = [[] for _ in range(g.n)]
-    reach = [0] * g.n
-    for u, row in enumerate(g.succ):
-        for v in row:
-            preds[v].append(u)
-            reach[v] |= 1 << u
+    reach = _successor_masks(g)
     full = (1 << g.n) - 1
     rounds = 1
     # an empty graph (n = 0) enters once, meets its fixed point and raises
     while not reach or any(r != full for r in reach):
         nxt = []
-        for r, p in zip(reach, preds):
-            for u in p:
-                r |= reach[u]
+        for r, row in zip(reach, g.succ):
+            for w in row:
+                r |= reach[w]
             nxt.append(r)
         if nxt == reach:
             raise UndefinedDiameterError("diameter is undefined: graph is not chain transitive")
@@ -304,39 +285,37 @@ def _successor_masks(g: TransitionGraph) -> list[int]:
 def _walk_step(masks: list[int], reach: int) -> int:
     """The vertex set one edge after ``reach``, both as bit masks."""
     nxt = 0
-    v = 0
-    while reach:
-        if reach & 1:
-            nxt |= masks[v]
-        reach >>= 1
-        v += 1
+    for v in mask_indices(reach):
+        nxt |= masks[v]
     return nxt
+
+
+def _closed_walks(g: TransitionGraph, x: int, max_length: int) -> Iterator[int]:
+    """Lengths ell <= max_length of the closed walks x -> x, ascending, one step at a time."""
+    if not 0 <= x < g.n:
+        raise OutOfRangeError(f"vertex {x} out of range")
+    masks = _successor_masks(g)
+    reach = xbit = 1 << x
+    for ell in range(1, max_length + 1):
+        reach = _walk_step(masks, reach)
+        if reach & xbit:
+            yield ell
+        if not reach:
+            return
 
 
 def closed_walk_lengths(g: TransitionGraph, x: int, max_length: int) -> list[int]:
     """Lengths ell <= max_length admitting a closed walk (chain) x -> x."""
-    if not 0 <= x < g.n:
-        raise OutOfRangeError(f"vertex {x} out of range")
-    masks = _successor_masks(g)
-    lengths = []
-    reach = 1 << x
-    xbit = 1 << x
-    for ell in range(1, max_length + 1):
-        reach = _walk_step(masks, reach)
-        if reach & xbit:
-            lengths.append(ell)
-        if not reach:
-            break
-    return lengths
+    return list(_closed_walks(g, x, max_length))
 
 
 def find_coprime_cycles(g: TransitionGraph, x: int) -> tuple[int, int]:
     """Two cycle lengths through x with gcd 1.
 
-    Enumerates closed-walk lengths through x in increasing order and
-    returns the first coprime pair.  Guaranteed to exist when the graph is
-    strongly connected with period 1; otherwise raises
-    :class:`NoCoprimeCyclesError`.
+    Walks the closed-walk lengths through x in increasing order and stops
+    at the first coprime pair: the smallest b, then the smallest a.
+    Guaranteed to exist when the graph is strongly connected with period
+    1; otherwise raises :class:`NoCoprimeCyclesError`.
     """
     if not 0 <= x < g.n:
         raise OutOfRangeError(f"vertex {x} out of range")
@@ -345,11 +324,12 @@ def find_coprime_cycles(g: TransitionGraph, x: int) -> tuple[int, int]:
     # Period 1 implies consecutive walk lengths appear within the Wielandt
     # bound, so the cap below always suffices.
     cap = (g.n - 1) ** 2 + g.n + 2
-    lengths = closed_walk_lengths(g, x, cap)
-    for j, b in enumerate(lengths):
-        for a in lengths[:j]:
+    lengths: list[int] = []
+    for b in _closed_walks(g, x, cap):
+        for a in lengths:
             if math.gcd(a, b) == 1:
                 return (a, b)
+        lengths.append(b)
     raise NoCoprimeCyclesError("no coprime cycle pair found within the search cap")
 
 
@@ -366,17 +346,8 @@ def power_graph(g: TransitionGraph, k: int) -> TransitionGraph:
     reach = list(masks)
     for _ in range(k - 1):
         reach = [_walk_step(masks, r) for r in reach]
-    rows = []
-    for r in reach:
-        row = []
-        v = 0
-        while r:
-            if r & 1:
-                row.append(v)
-            r >>= 1
-            v += 1
-        rows.append(tuple(row))
-    return TransitionGraph(g.n, tuple(rows), (g.source[0], f"{g.source[1]}^walk{k}"))
+    rows = tuple(tuple(mask_indices(r)) for r in reach)
+    return TransitionGraph(g.n, rows, (g.source[0], f"{g.source[1]}^walk{k}"))
 
 
 @dataclass(frozen=True)
@@ -405,31 +376,39 @@ class ChainAnalysis:
 
     @classmethod
     def from_graph(cls, g: TransitionGraph) -> "ChainAnalysis":
-        """One Tarjan pass, then one BFS-level pass per component.
+        """One Tarjan pass, then one BFS per component that sets levels and period.
 
         A component's period is the gcd of ``level(u) + 1 - level(v)`` over
         its internal edges u -> v, for BFS levels from its smallest vertex;
-        this equals the gcd of its cycle lengths.  Class k holds the
-        vertices whose level is k modulo the period.
+        this equals the gcd of its cycle lengths.  The BFS folds each edge
+        in as it meets it; an edge to a newly reached vertex adds 0.  Class
+        k holds the vertices whose level is k modulo the period.
         """
         comps = strongly_connected_components(g)
+        component = [-1] * g.n
+        level = [-1] * g.n
         periods: list[int] = []
         classes: list[tuple[tuple[int, ...], ...] | None] = []
-        for comp in comps:
-            members = set(comp)
-            levels = _bfs_levels(g, comp[0], members)
-            period = 0
-            for u in comp:
+        for c, comp in enumerate(comps):
+            for v in comp:  # a later component's vertices still read -1
+                component[v] = c
+            level[comp[0]] = period = 0
+            queue = [comp[0]]
+            for u in queue:  # grows while it is read: a FIFO queue
+                step = level[u] + 1
                 for v in g.succ[u]:
-                    if v in members:
-                        period = math.gcd(period, abs(levels[u] + 1 - levels[v]))
+                    if component[v] == c:
+                        if level[v] < 0:
+                            level[v] = step
+                            queue.append(v)
+                        period = math.gcd(period, step - level[v])
             periods.append(period)
             if period == 0:
                 classes.append(None)
                 continue
             buckets: list[list[int]] = [[] for _ in range(period)]
             for v in comp:
-                buckets[levels[v] % period].append(v)
+                buckets[level[v] % period].append(v)
             classes.append(tuple(tuple(b) for b in buckets))
         return cls(
             components=tuple(tuple(c) for c in comps),

@@ -29,7 +29,7 @@ from .chaingraph import (
     chain_diameter,
     is_totally_chain_transitive,
 )
-from .errors import ChainDynError, ResourceLimitError
+from .errors import ChainDynError, InvalidParameterError, ResourceLimitError
 from .recurrence import nonwandering_points, omega_limit
 from .shadowing import disconnectedness_dichotomy, estimate_shadowing_modulus
 from .systems import SystemSpec, load_analysis_defaults, load_system, parse_spec
@@ -406,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
             ("--trials", trials, (trials + 1) * basis * horizon,
              "pseudo-orbit steps ((trials + 1) x basis x horizon)"),
         ):
+            if value < 1:  # every command echoes the knobs, so even one that never uses it
+                raise InvalidParameterError(f"{flag} must be >= 1, got {value}")
             if cost > MAX_ORBIT_CELLS:
                 raise ResourceLimitError(
                     f"{flag} {value} on {n} points exceeds the cap of {MAX_ORBIT_CELLS} {what}"

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .shadowing import estimate_shadowing_modulus
 from .systems import SystemSpec
-from .uniform import COMPARISON_SLACK, Entourage, UniformityBasis, run_mask
+from .uniform import COMPARISON_SLACK, Entourage, UniformityBasis, mask_indices, run_mask
 
 KIND_POINT_IN_SET = "point-in-set"
 KIND_SET_TO_SET = "set-to-set"
@@ -222,7 +222,7 @@ def nonwandering_points(
                 if seen[at] == u:
                     break
                 seen[at] = u
-    return tuple(x for x, b in enumerate(reversed(f"{flags:b}")) if b == "1")
+    return tuple(mask_indices(flags))
 
 
 def classify_return_set(r: ReturnTimeSet) -> ReturnSetClassification:

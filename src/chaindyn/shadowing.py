@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .chaingraph import graph_from_edges, image_successors, strongly_connected_components
+from .chaingraph import TransitionGraph, image_successors, strongly_connected_components
 from .errors import (
     DiscretizationTooCoarseError,
     IncompatibleSpaceError,
@@ -408,11 +408,17 @@ def export_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(f"pseudo-orbit record has a non-integer {text!r}") from None
+
+
 def import_pseudo_orbit(text: str) -> tuple[PseudoOrbit, dict[str, str]]:
     """Parse a record written by :func:`export_pseudo_orbit`."""
     header: dict[str, str] = {}
     states: list[int] = []
-    chosen: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -425,18 +431,19 @@ def import_pseudo_orbit(text: str) -> tuple[PseudoOrbit, dict[str, str]]:
         parts = line.split()
         if len(parts) != 3:
             raise InvalidParameterError(f"malformed pseudo-orbit line: {line!r}")
-        idx, _, nxt = parts
+        idx, nxt = _record_int(parts[0]), _record_int(parts[2])
         if not states:
-            states.append(int(idx))
-        states.append(int(nxt))
-        chosen.append(int(nxt))
+            states.append(idx)
+        elif idx != states[-1]:
+            raise InvalidParameterError(f"pseudo-orbit line {line!r} does not chain on")
+        states.append(nxt)
     if len(states) < 2:
         raise InvalidParameterError("pseudo-orbit record has no steps")
     seed_raw = header.get("seed", "None")
-    seed = None if seed_raw == "None" else int(seed_raw)
+    seed = None if seed_raw == "None" else _record_int(seed_raw)
     return (
         PseudoOrbit(
-            tuple(states), header.get("entourage", ""), seed, tuple(chosen)
+            tuple(states), header.get("entourage", ""), seed, tuple(states[1:])
         ),
         header,
     )
@@ -465,7 +472,8 @@ def disconnectedness_dichotomy(
 
     # an entourage is symmetric, so its strongly connected components are
     # the connected components of the scale relation
-    comps = strongly_connected_components(graph_from_edges(space.n, e.pairs()))
+    rows = tuple(tuple(e.row(x)) for x in range(space.n))
+    comps = strongly_connected_components(TransitionGraph(space.n, rows))
     connected = len(comps) == 1 and (
         e.scale is None or e.scale >= space.resolution - COMPARISON_SLACK or space.n == 1
     )

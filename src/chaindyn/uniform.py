@@ -40,6 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -270,6 +271,13 @@ def run_mask(arc: tuple[int, int], n: int) -> int:
     return m if hi < n else (m | m >> n) & ((1 << n) - 1)
 
 
+def mask_indices(mask: int) -> list[int]:
+    """The set bits of a bit mask, ascending: the inverse of :func:`run_mask`."""
+    # binary digits as the bytes 0 and 1, lowest bit first, for compress
+    bits = f"{mask:b}".encode()[::-1].translate(bytes.maketrans(b"01", b"\0\1"))
+    return list(compress(range(len(bits)), bits))
+
+
 def arc_contains(arc: tuple[int, int], y: int, n: int) -> bool:
     lo, hi = arc
     return (y - lo) % n <= hi - lo
@@ -403,11 +411,6 @@ class Entourage:
         if self.arcs is not None:
             return arc_contains(self.arcs[x], y, self.n)
         return y in self.rows[x]
-
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        for x in range(self.n):
-            for y in self.row(x):
-                yield (x, y)
 
     def pair_count(self) -> int:
         if self.arcs is not None:

@@ -34,6 +34,7 @@ from chaindyn import (
     square_system,
     strongly_connected_components,
 )
+from chaindyn import chaingraph
 from oracles import (
     chain_recurrent_bruteforce,
     gcd_of,
@@ -368,6 +369,21 @@ class TestCoprimeCycles:
             lengths = set(loop_lengths_bruteforce(g, 0, max(a, b)))
             assert a in lengths and b in lengths
 
+    def test_stops_at_the_first_coprime_pair(self, monkeypatch):
+        # the walk ends at b, the larger length of the pair, not at the
+        # Wielandt cap, which is 65,283 steps away here
+        s = doubling_system(256)
+        g = build_transition_graph(s, make_epsilon_entourage(s.space, 2 * s.space.resolution))
+        step, steps = chaingraph._walk_step, []
+
+        def counted(masks, reach):
+            steps.append(reach)
+            return step(masks, reach)
+
+        monkeypatch.setattr(chaingraph, "_walk_step", counted)
+        a, b = find_coprime_cycles(g, 0)
+        assert (a, b) == (1, 2) and len(steps) == b
+
 
 class TestPathChainCorrespondence:
     def test_paths_are_chains_and_conversely(self):
@@ -510,16 +526,27 @@ class TestSCC:
 @given(
     st.integers(min_value=1, max_value=9).flatmap(
         lambda n: st.tuples(
-            st.just(n),
             st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+            st.booleans(),
+            st.permutations(range(n + 3)),
         )
     )
 )
 @settings(max_examples=300, deadline=None)
 def test_one_pass_analysis_matches_networkx(case):
-    # components, periods, classes and diameter against networkx and the loop oracle
+    # components, periods, classes and diameter against networkx and the loop oracle.
+    # With `apart`, three singleton components join the drawn graph: one with a
+    # self-loop that feeds it, one without that it feeds, and one with a self-loop
+    # that the second feeds; a random relabelling then puts every component's
+    # smallest vertex anywhere, and no component is the whole space.
     nx = pytest.importorskip("networkx")
-    n, edges = case
+    edges, apart, relabel = case
+    n = len(relabel) - 3
+    if apart:
+        edges = {*edges, (n, n), (n, 0), (n - 1, n + 1), (n + 1, n + 2), (n + 2, n + 2)}
+        edges = {(relabel[u], relabel[v]) for u, v in edges}
+        singletons = [(relabel[v],) for v in (n, n + 1, n + 2)]
+        n += 3
     g = graph_from_edges(n, edges)
     G = nx.DiGraph()
     G.add_nodes_from(range(n))
@@ -528,6 +555,9 @@ def test_one_pass_analysis_matches_networkx(case):
 
     expected = {frozenset(c) for c in nx.strongly_connected_components(G)}
     assert {frozenset(c) for c in analysis.components} == expected
+    assert list(analysis.components) == sorted(tuple(sorted(c)) for c in expected)
+    if apart:
+        assert [analysis.periods[analysis.components.index(c)] for c in singletons] == [1, 0, 1]
     cyclic = [c for c in analysis.components if len(c) > 1 or G.has_edge(c[0], c[0])]
     assert analysis.recurrent == {v for c in cyclic for v in c}
     assert analysis.transitive == (
@@ -546,6 +576,15 @@ def test_one_pass_analysis_matches_networkx(case):
             for v in g.succ[u]:
                 if v in position:
                     assert position[v] == (position[u] + 1) % period
+        # class k: the BFS level from the smallest vertex is k modulo the period
+        level = nx.single_source_shortest_path_length(G.subgraph(comp), comp[0])
+        assert classes == tuple(
+            tuple(v for v in comp if level[v] % period == k) for k in range(period)
+        )
+        # the component on its own is chain transitive, so its diameter is defined
+        index = {v: i for i, v in enumerate(comp)}
+        inner = [(index[u], index[v]) for u in comp for v in g.succ[u] if v in index]
+        assert_diameter_matches_networkx(graph_from_edges(len(comp), inner))
 
     assert_diameter_matches_networkx(g)
 

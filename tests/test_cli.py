@@ -347,6 +347,23 @@ class TestErrorsAndDefaults:
         assert captured.err.startswith("error: InvalidParameterError: epsilon")
 
     @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("omega", ["--nmax", "-5000"]),
+            ("graph", ["--trials", "0", "--nmax", "0"]),
+            ("recurrence", ["--horizon", "0"]),
+            ("axioms", ["--basis", "-1"]),
+        ],
+    )
+    def test_knob_below_one_exits_one(self, tmp_path, capsys, command, flags):
+        # refused for every command, before the knob's cost is computed
+        spec = write_spec(tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 64\n")
+        code = cli.main([command, "--spec", spec, *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: InvalidParameterError: {flags[-2]} must be >= 1")
+
+    @pytest.mark.parametrize(
         "flag, key",
         [("--out", "out"), ("--dump-graph", "dump_graph")],
         ids=["out", "dump-graph"],

@@ -585,6 +585,17 @@ class TestExportImport:
         with pytest.raises(InvalidParameterError):
             import_pseudo_orbit("0 0.5\n")  # missing the chosen index
 
+    @pytest.mark.parametrize(
+        "text",
+        ["0 0.1 5\n7 0.2 3\n", "x 0.1 y\n", "# seed: abc\n0 0.1 5\n"],
+        ids=["unchained", "non-integer-index", "non-integer-seed"],
+    )
+    def test_broken_record_is_an_invalid_parameter(self, text):
+        from chaindyn import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError):
+            import_pseudo_orbit(text)
+
     def test_lines_carry_images(self):
         s = rotation_system(0.25, 4)
         d = make_epsilon_entourage(s.space, 0.3)

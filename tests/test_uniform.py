@@ -27,7 +27,7 @@ from chaindyn import (
     refining_entourage,
     verify_uniformity_axioms,
 )
-from chaindyn.uniform import arc_indices, run_mask
+from chaindyn.uniform import arc_indices, mask_indices, run_mask
 from oracles import ball_bruteforce, nearest_bruteforce, sorted_list_space, within_bruteforce
 
 
@@ -306,6 +306,8 @@ class TestIntervalEntourage:
             mask = run_mask(arc, n)
             assert mask >> n == 0
             assert [j for j in range(n) if mask >> j & 1] == sorted(arc_indices(arc, n))
+            assert mask_indices(mask) == arc_indices(arc, n)
+        assert mask_indices(0) == []
 
     @staticmethod
     def assert_staircase_queries(space, radii):

@@ -163,8 +163,15 @@ def generate_pseudo_orbit(
     pseudo-orbit across a connected component and breaks shadowing of the
     identity map.  Deterministic given the seed.
 
+    The successors of a state are found once, at its first visit, and read
+    again at every later one; a drift pick draws nothing from the seeded
+    generator, so drift settles each state's next state once.  Uniform
+    mode still makes one draw per step.
+
     Raises :class:`DiscretizationTooCoarseError`, naming the step, when a
-    step has no legal successor on the grid.
+    step has no legal successor on the grid, and :class:`OutOfRangeError`
+    for a ``start``, ``target`` or ``allowed`` index that is not a grid
+    index (or a ``start`` outside ``allowed``).
     """
     if length < 1:
         raise InvalidParameterError("length must be >= 1")
@@ -173,18 +180,22 @@ def generate_pseudo_orbit(
     if d.space != system.space:
         raise IncompatibleSpaceError("entourage is over a different space")
     space = system.space
-    pool = sorted(allowed) if allowed is not None else list(range(space.n))
+    n, images = space.n, system.grid_images
+    pool = range(n) if allowed is None else sorted(allowed)
     if not pool:
         raise InvalidParameterError("allowed set is empty")
-    allowed_set = set(pool)
-    rng = random.Random(f"{seed}|{d.label}|{mode}")
+    if pool[0] < 0 or pool[-1] >= n:
+        raise OutOfRangeError(f"allowed set holds an index outside 0..{n - 1}")
+    if target is not None and not 0 <= target < n:
+        raise OutOfRangeError(f"target {target} is not an index in 0..{n - 1}")
+    members = pool if allowed is None else set(pool)
+    uniform = mode == MODE_UNIFORM
+    rng = random.Random(f"{seed}|{d.label}|{mode}") if uniform else None
     if start is None:
-        start = pool[rng.randrange(len(pool))] if mode == MODE_UNIFORM else pool[0]
-    if start not in allowed_set:
+        start = pool[rng.randrange(len(pool))] if uniform else pool[0]
+    if start not in members:
         raise OutOfRangeError(f"start {start} is not an allowed index")
-    if target is None:
-        target = pool[-1]
-    target_coords = space.points[target]
+    target_coords = space.points[pool[-1] if target is None else target]
 
     def key(j: int) -> tuple[float, int]:
         return (space.distance(space.points[j], target_coords), j)
@@ -196,35 +207,41 @@ def generate_pseudo_orbit(
     # and drift compares only its ends and the target's brackets, where the
     # distance to the target can be least inside it.
     by_arc = d.arcs is not None and allowed is None
-    n, images = space.n, system.grid_images
-    if by_arc and mode == MODE_DRIFT:
+    if by_arc and not uniform:
         near = space.brackets(target_coords[0])
 
-    def pick(x: int) -> int | None:
+    def settle(x: int) -> tuple[int, int] | list[int] | int | None:
+        """x's legal successors (uniform) or its drift pick; None when it has none."""
         image, _, _, w = images[x]
         if not by_arc:
             succ = image_successors(d, image) if w is None else d.row(w)
-            succ = [y for y in succ if y in allowed_set]
-            if not succ:
-                return None
-            return succ[rng.randrange(len(succ))] if mode == MODE_UNIFORM else min(succ, key=key)
+            succ = [y for y in succ if y in members]
+            return (succ if uniform else min(succ, key=key)) if succ else None
         arc = space.arc_within(image, d.scale) if w is None else d.arcs[w]
-        if arc is None:
-            return None
+        if arc is None or uniform:
+            return arc
         lo, hi = arc
-        if mode == MODE_UNIFORM:
-            r = rng.randrange(hi - lo + 1)
-            return lo + r if hi < n else (r if r <= hi - n else lo + r - hi + n - 1)
         return min({lo, hi % n, *(j for j in near if arc_contains(arc, j, n))}, key=key)
 
+    def draw(succ: tuple[int, int] | list[int]) -> int:
+        if not by_arc:
+            return succ[rng.randrange(len(succ))]
+        lo, hi = succ
+        r = rng.randrange(hi - lo + 1)
+        return lo + r if hi < n else (r if r <= hi - n else lo + r - hi + n - 1)
+
+    settled: dict[int, tuple[int, int] | list[int] | int | None] = {}
     states = [start]
     for i in range(length):
-        y = pick(states[-1])
-        if y is None:
+        x = states[-1]
+        if x not in settled:
+            settled[x] = settle(x)
+        got = settled[x]
+        if got is None:
             raise DiscretizationTooCoarseError(
                 f"step {i}: no legal successor inside D[f(x_{i})]"
             )
-        states.append(y)
+        states.append(draw(got) if uniform else got)
     return PseudoOrbit(tuple(states), d.label, seed, tuple(states[1:]))
 
 
@@ -250,14 +267,32 @@ def find_shadow_point(
     negative report records the first candidate with the latest failure
     step, and that step; on spaces small enough to scan fully it means no
     grid point shadows.
+
+    For a metric E only the candidates in E[x_0], the closed ball that
+    :func:`entourage_holds` tests at step 0, are walked: every other one
+    fails at step 0, so it can be neither the witness nor, once one
+    candidate passes step 0, the best candidate.  When none passes, every
+    candidate is scanned.  Raises :class:`OutOfRangeError` for a candidate
+    or an orbit state that is not a grid index.
     """
-    if e.space != system.space:
+    space = system.space
+    if e.space != space:
         raise IncompatibleSpaceError("entourage is over a different space")
-    points = system.space.points
+    points, n = space.points, space.n
+    if not all(0 <= x < n for x in orbit.states):
+        raise OutOfRangeError(f"orbit state outside 0..{n - 1}")
+    scan = range(n) if candidates is None else sorted(candidates)
+    if scan and (scan[0] < 0 or scan[-1] >= n):
+        raise OutOfRangeError(f"candidate outside 0..{n - 1}")
+    if e.scale is not None and orbit.states:
+        ball = space.indices_within(points[orbit.states[0]], e.scale)
+        if candidates is not None:
+            ball = sorted(set(scan).intersection(ball))
+        scan = ball or scan
     T = orbit.horizon
     best_y: int | None = None
     best_step: int | None = None
-    for y in sorted(candidates) if candidates is not None else range(len(points)):
+    for y in scan:
         coords, at = points[y], y
         for i, x in enumerate(orbit.states):
             if not entourage_holds(e, coords, x):
@@ -415,8 +450,20 @@ def _record_int(text: str) -> int:
         raise InvalidParameterError(f"pseudo-orbit record has a non-integer {text!r}") from None
 
 
+def _record_index(text: str) -> int:
+    index = _record_int(text)
+    if index < 0:
+        raise InvalidParameterError(f"pseudo-orbit record has a negative index {text!r}")
+    return index
+
+
 def import_pseudo_orbit(text: str) -> tuple[PseudoOrbit, dict[str, str]]:
-    """Parse a record written by :func:`export_pseudo_orbit`."""
+    """Parse a record written by :func:`export_pseudo_orbit`.
+
+    Raises :class:`InvalidParameterError` for a line that is not a
+    non-negative index, comma-separated float image coordinates and a
+    non-negative index, or that does not start where the previous one ended.
+    """
     header: dict[str, str] = {}
     states: list[int] = []
     for line in text.splitlines():
@@ -431,7 +478,14 @@ def import_pseudo_orbit(text: str) -> tuple[PseudoOrbit, dict[str, str]]:
         parts = line.split()
         if len(parts) != 3:
             raise InvalidParameterError(f"malformed pseudo-orbit line: {line!r}")
-        idx, nxt = _record_int(parts[0]), _record_int(parts[2])
+        idx, nxt = _record_index(parts[0]), _record_index(parts[2])
+        try:
+            for c in parts[1].split(","):
+                float(c)
+        except ValueError:
+            raise InvalidParameterError(
+                f"pseudo-orbit line {line!r} has no float image coordinates"
+            ) from None
         if not states:
             states.append(idx)
         elif idx != states[-1]:

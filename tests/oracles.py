@@ -66,23 +66,33 @@ def drift_bruteforce(space, successors, target_coords) -> int:
     return min(successors, key=lambda j: (space.distance(space.points[j], target_coords), j))
 
 
-def pseudo_orbit_bruteforce(system, d, length, seed, mode, start=None, target=None):
+def pseudo_orbit_bruteforce(system, d, length, seed, mode, start=None, target=None, allowed=None):
     """States of a seeded pseudo-orbit chosen from expanded successor lists.
 
     Draws from the same seeded generator in the same order as
-    ``generate_pseudo_orbit`` without an allowed set.  Returns the step
-    with no successor instead when the walk dead-ends.
+    ``generate_pseudo_orbit``.  A metric D gives the successors of
+    :func:`successors_bruteforce`, an explicit one the row of the image's
+    nearest grid point; an ``allowed`` set keeps only its members and
+    supplies the default start and target.  Returns the step with no
+    successor instead when the walk dead-ends.
     """
     from chaindyn.systems import iterate
 
     space = system.space
+    pool = sorted(allowed) if allowed is not None else list(range(space.n))
     rng = random.Random(f"{seed}|{d.label}|{mode}")
     if start is None:
-        start = rng.randrange(space.n) if mode == "uniform" else 0
-    target_coords = space.points[space.n - 1 if target is None else target]
+        start = pool[rng.randrange(len(pool))] if mode == "uniform" else pool[0]
+    target_coords = space.points[pool[-1] if target is None else target]
     states = [start]
     for i in range(length):
-        succ = successors_bruteforce(d, iterate(system, space.points[states[-1]], 1))
+        image = iterate(system, space.points[states[-1]], 1)
+        if d.scale is not None:
+            succ = successors_bruteforce(d, image)
+        else:
+            near = nearest_bruteforce(space, image)
+            succ = [y for y in range(space.n) if d.contains(near, y)]
+        succ = [y for y in succ if y in pool]
         if not succ:
             return i
         if mode == "uniform":

@@ -8,6 +8,7 @@ from chaindyn import (
     GOLDEN_ALPHA,
     DiscretizationTooCoarseError,
     Entourage,
+    OutOfRangeError,
     PseudoOrbit,
     UniformityBasis,
     build_transition_graph,
@@ -195,6 +196,64 @@ class TestGeneration:
         assert orbit.states == (2,) * 7
         assert build_transition_graph(s, diag).succ == tuple((i,) for i in range(9))
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_restricted_orbits_match_expanded_successor_lists(self, data):
+        # an allowed set takes the list path, on metric and on explicit entourages
+        system = data.draw(orbit_systems())
+        space = system.space
+        index = st.integers(0, space.n - 1)
+        if data.draw(st.booleans()):
+            d = make_epsilon_entourage(space, data.draw(st.sampled_from(
+                (space.resolution, 2 * space.resolution, 0.25, 0.5))))
+        else:
+            d = Entourage.from_pairs(space, data.draw(st.lists(st.tuples(index, index))), "pairs")
+        allowed = data.draw(st.sets(index, min_size=1))
+        mode = data.draw(st.sampled_from(("uniform", "adversarial-drift")))
+        seed = data.draw(st.integers(0, 10**6))
+        start = data.draw(st.none() | st.sampled_from(sorted(allowed)))
+        target = data.draw(st.none() | index)
+        expected = pseudo_orbit_bruteforce(
+            system, d, 25, seed, mode, start, target, allowed=allowed)
+        try:
+            got = generate_pseudo_orbit(
+                system, d, 25, seed, mode, start=start, target=target, allowed=allowed).states
+        except DiscretizationTooCoarseError as exc:
+            got = int(str(exc).split()[1].rstrip(":"))
+        assert got == expected
+
+    @pytest.mark.parametrize("mode", ["uniform", "adversarial-drift"])
+    @pytest.mark.parametrize("scale", [1 / 8, 1 / 32])
+    def test_successors_are_found_once_per_state(self, monkeypatch, mode, scale):
+        # one ball per distinct state whose image is off the grid; on-grid
+        # images read D's stored runs
+        s = doubling_system(96)
+        d = dyadic_basis(s.space, 8).by_label(f"eps={scale:g}")
+        images = s.grid_images
+        calls = []
+        arc_within = FinitePhaseSpace.arc_within
+
+        def counted(space, coords, radius):
+            calls.append(coords)
+            return arc_within(space, coords, radius)
+
+        monkeypatch.setattr(FinitePhaseSpace, "arc_within", counted)
+        orbit = generate_pseudo_orbit(s, d, 100, seed=5, mode=mode)
+        off_grid = {x for x in orbit.states[:-1] if images[x][3] is None}
+        assert off_grid
+        assert len(calls) == len(off_grid) <= len(set(orbit.states))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"allowed": {-1, 3, 20}}, {"allowed": {3, 16}}, {"target": 16}, {"target": -1}],
+        ids=["allowed-negative", "allowed-past-end", "target-past-end", "target-negative"],
+    )
+    def test_index_outside_the_grid_is_out_of_range(self, kwargs):
+        s = doubling_system(16)
+        d = make_epsilon_entourage(s.space, 0.125)
+        with pytest.raises(OutOfRangeError):
+            generate_pseudo_orbit(s, d, 3, 1, "uniform", **kwargs)
+
     def test_restriction_to_allowed_set(self):
         s = identity_system(interval_grid(21))
         d = make_epsilon_entourage(s.space, 0.3)
@@ -323,6 +382,48 @@ class TestFindShadowPoint:
         candidates = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
         got = find_shadow_point(orbit, e, system, candidates=candidates)
         assert got == shadow_bruteforce(orbit, e, system, candidates)
+
+    @pytest.mark.parametrize("candidates", [None, range(0, 96, 3)], ids=["all", "every-third"])
+    def test_scan_starts_in_the_first_ball(self, monkeypatch, candidates):
+        # every candidate outside E[x_0] fails at step 0, so only those inside
+        # are walked; x_0 does not recur, so its checks count the candidates walked
+        import chaindyn.shadowing as shadowing
+
+        s = doubling_system(96)
+        e = make_epsilon_entourage(s.space, 4 * s.space.resolution)
+        states = (0, 48, 12, 30)
+        orbit = PseudoOrbit(states, "drawn", None, states[1:])
+        checks = []
+        holds = shadowing.entourage_holds
+
+        def counted(e, a, b_index):
+            checks.append(b_index)
+            return holds(e, a, b_index)
+
+        monkeypatch.setattr(shadowing, "entourage_holds", counted)
+        report = find_shadow_point(orbit, e, s, candidates=candidates)
+        pool = range(96) if candidates is None else candidates
+        first_ball = {y for y in pool if entourage_holds(e, s.space.points[y], 0)}
+        assert first_ball
+        assert checks.count(0) <= len(first_ball)
+        assert report == shadow_bruteforce(orbit, e, s, candidates)
+
+    @pytest.mark.parametrize(
+        "candidates", [[-3, 2], [2, 64]], ids=["negative", "past-end"])
+    def test_candidate_outside_the_grid_is_out_of_range(self, candidates):
+        s = doubling_system(64)
+        d = make_epsilon_entourage(s.space, 1 / 64)
+        orbit = generate_pseudo_orbit(s, d, 4, seed=1, mode="uniform")
+        with pytest.raises(OutOfRangeError):
+            find_shadow_point(orbit, d, s, candidates=candidates)
+
+    def test_orbit_state_outside_the_grid_is_out_of_range(self):
+        s = doubling_system(16)
+        e = make_epsilon_entourage(s.space, 0.125)
+        for states in ((3, -4), (16, 3)):
+            orbit = PseudoOrbit(states, "record", None, states[1:])
+            with pytest.raises(OutOfRangeError):
+                find_shadow_point(orbit, e, s)
 
     def test_monotone_in_the_target_entourage(self):
         # E-shadowed implies E'-shadowed for any coarser E'
@@ -587,8 +688,14 @@ class TestExportImport:
 
     @pytest.mark.parametrize(
         "text",
-        ["0 0.1 5\n7 0.2 3\n", "x 0.1 y\n", "# seed: abc\n0 0.1 5\n"],
-        ids=["unchained", "non-integer-index", "non-integer-seed"],
+        [
+            "0 0.1 5\n7 0.2 3\n", "x 0.1 y\n", "# seed: abc\n0 0.1 5\n",
+            "-4 0.1 -9\n", "0 0.1 5\n5 0.2 -3\n", "0 abc 5\n5 zz 3\n", "0 0.1, 5\n",
+        ],
+        ids=[
+            "unchained", "non-integer-index", "non-integer-seed", "negative-index",
+            "negative-next-index", "non-float-coordinates", "empty-coordinate",
+        ],
     )
     def test_broken_record_is_an_invalid_parameter(self, text):
         from chaindyn import InvalidParameterError

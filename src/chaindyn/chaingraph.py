@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _parallel
 from .errors import (
-    IncompatibleSpaceError,
     InvalidParameterError,
     NoCoprimeCyclesError,
     NoCycleError,
@@ -105,8 +104,7 @@ def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
     reads D's stored row of w, which for a metric entourage is the ball
     that :func:`image_successors` would build.
     """
-    if d.space != system.space:
-        raise IncompatibleSpaceError("entourage is over a different space")
+    system.space.check_same(d.space, "entourage")
     images = system.grid_images
 
     def row(x: int) -> tuple[int, ...]:
@@ -237,6 +235,7 @@ def is_totally_chain_transitive(
     analysis of the graph of f at D, which is then neither built nor
     analysed again.
     """
+    system.space.check_same(d.space, "entourage")
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
     if analysis is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Any
 
@@ -71,14 +71,7 @@ class AnalysisRequest:
             "map": self.system.kind.value,
             "geometry": self.system.space.geometry.value,
             "n": self.system.space.n,
-            "command": self.command,
-            "epsilon": self.epsilon,
-            "basis_levels": self.basis_levels,
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "x": self.x,
+            **{f.name: getattr(self, f.name) for f in fields(self)[1:]},
         }
 
     @cached_property
@@ -115,16 +108,7 @@ def _axioms_stage(req: AnalysisRequest) -> dict[str, Any]:
     return {
         "all_ok": report.all_ok,
         "floor_is_diagonal": report.floor_is_diagonal,
-        "levels": [
-            {
-                "label": lvl.label,
-                "diagonal_ok": lvl.diagonal_ok,
-                "symmetric_ok": lvl.symmetric_ok,
-                "half_witness": lvl.half_witness,
-                "nested_ok": lvl.nested_ok,
-            }
-            for lvl in report.levels
-        ],
+        "levels": [asdict(lvl) for lvl in report.levels],
     }
 
 

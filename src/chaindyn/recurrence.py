@@ -29,12 +29,7 @@ from .chaingraph import (
     chain_recurrent_set,
     strongly_connected_components,
 )
-from .errors import (
-    IncompatibleSpaceError,
-    InvalidParameterError,
-    NoNonwanderingPointsError,
-    OutOfRangeError,
-)
+from .errors import InvalidParameterError, NoNonwanderingPointsError
 from .shadowing import estimate_shadowing_modulus
 from .systems import SystemSpec
 from .uniform import COMPARISON_SLACK, Entourage, UniformityBasis, mask_indices, run_mask
@@ -104,13 +99,10 @@ def _snapped_orbit(system: SystemSpec, start: int, horizon: int) -> list[int | N
 
 
 def _check_sets(system: SystemSpec, u: Iterable[int], v: Iterable[int]):
-    n = system.space.n
     us, vs = sorted(set(u)), sorted(set(v))
     if not us or not vs:
         raise InvalidParameterError("u and v must be non-empty")
-    for i in us + vs:
-        if not 0 <= i < n:
-            raise OutOfRangeError(f"index {i} out of range")
+    system.space.check_indices(us + vs, "u or v")
     return us, vs
 
 
@@ -169,8 +161,7 @@ def nonwandering_points(
       snaps from there, so it stops: on the table at a grid index it has
       visited, off it at a float fixed point.
     """
-    if scale.space != system.space:
-        raise IncompatibleSpaceError("entourage is over a different space")
+    system.space.check_same(scale.space, "entourage")
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     space, images, f = system.space, system.grid_images, system.float_step
@@ -300,8 +291,7 @@ def omega_limit(
     point of the closed h/2 ball counts, not only the nearest one.
     """
     space = system.space
-    if not 0 <= x < space.n:
-        raise OutOfRangeError(f"index {x} out of range")
+    space.check_indices((x,), "x")
     if not 0 < transient < horizon:
         raise InvalidParameterError("need 0 < transient < horizon")
     radius = space.resolution / 2

@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 from .chaingraph import TransitionGraph, image_successors, strongly_connected_components
 from .errors import (
     DiscretizationTooCoarseError,
-    IncompatibleSpaceError,
     InvalidParameterError,
     OutOfRangeError,
 )
@@ -177,17 +176,16 @@ def generate_pseudo_orbit(
         raise InvalidParameterError("length must be >= 1")
     if mode not in (MODE_UNIFORM, MODE_DRIFT):
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    if d.space != system.space:
-        raise IncompatibleSpaceError("entourage is over a different space")
     space = system.space
+    space.check_same(d.space, "entourage")
     n, images = space.n, system.grid_images
     pool = range(n) if allowed is None else sorted(allowed)
     if not pool:
         raise InvalidParameterError("allowed set is empty")
-    if pool[0] < 0 or pool[-1] >= n:
-        raise OutOfRangeError(f"allowed set holds an index outside 0..{n - 1}")
-    if target is not None and not 0 <= target < n:
-        raise OutOfRangeError(f"target {target} is not an index in 0..{n - 1}")
+    if allowed is not None:
+        space.check_indices(pool, "allowed set")
+    if target is not None:
+        space.check_indices((target,), "target")
     members = pool if allowed is None else set(pool)
     uniform = mode == MODE_UNIFORM
     rng = random.Random(f"{seed}|{d.label}|{mode}") if uniform else None
@@ -247,6 +245,8 @@ def generate_pseudo_orbit(
 
 def verify_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec, d: Entourage) -> bool:
     """Re-check every step of an orbit against the D-membership predicate."""
+    system.space.check_same(d.space, "entourage")
+    system.space.check_indices(orbit.states, "orbit")
     images = system.grid_images
     return all(
         entourage_holds(d, images[x][0], y) for x, y in zip(orbit.states, orbit.states[1:])
@@ -276,14 +276,12 @@ def find_shadow_point(
     or an orbit state that is not a grid index.
     """
     space = system.space
-    if e.space != space:
-        raise IncompatibleSpaceError("entourage is over a different space")
+    space.check_same(e.space, "entourage")
+    space.check_indices(orbit.states, "orbit")
     points, n = space.points, space.n
-    if not all(0 <= x < n for x in orbit.states):
-        raise OutOfRangeError(f"orbit state outside 0..{n - 1}")
     scan = range(n) if candidates is None else sorted(candidates)
-    if scan and (scan[0] < 0 or scan[-1] >= n):
-        raise OutOfRangeError(f"candidate outside 0..{n - 1}")
+    if candidates is not None:
+        space.check_indices(scan, "candidates")
     if e.scale is not None and orbit.states:
         ball = space.indices_within(points[orbit.states[0]], e.scale)
         if candidates is not None:
@@ -409,6 +407,7 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
     distance clears the scale by more than 1e-9.
     """
     space, images = system.space, system.grid_images
+    space.check_same(basis.space, "basis")
     perm = grid_permutation(system)
     mode = "exact" if perm is not None else "tolerance"
     n, levels = space.n, []
@@ -431,6 +430,7 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
 
 def export_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec) -> str:
     """Plain-text record: header plus one ``index image-coords chosen-index`` line per step."""
+    system.space.check_indices(orbit.states, "orbit")
     lines = [
         "# chaindyn pseudo-orbit v1",
         f"# system: {system.name}",
@@ -521,8 +521,7 @@ def disconnectedness_dichotomy(
     shadowing outcome comes from the modulus estimator for the identity
     map; agreement means the two booleans coincide, the dichotomy's finite echo.
     """
-    if e.space != space:
-        raise IncompatibleSpaceError("entourage is over a different space")
+    space.check_same(e.space, "entourage")
 
     # an entourage is symmetric, so its strongly connected components are
     # the connected components of the scale relation

@@ -33,7 +33,6 @@ import yaml
 from .errors import (
     InvalidParameterError,
     MalformedSpecError,
-    OutOfRangeError,
     ResourceLimitError,
     ValidationError,
 )
@@ -222,8 +221,7 @@ def evaluate(system: SystemSpec, x: int, iterations: int) -> MapEvaluation:
     ``iterations=0`` returns the point itself.  The image may lie off-grid;
     ``nearest_index`` is the closest grid point (ties to the smaller index).
     """
-    if not 0 <= x < system.space.n:
-        raise OutOfRangeError(f"index {x} out of range for {system.space.n} points")
+    system.space.check_indices((x,), "x")
     image = iterate(system, system.space.points[x], iterations)
     return MapEvaluation(image, system.space.nearest_index(image))
 
@@ -287,17 +285,6 @@ def permutation_system(
     return SystemSpec(name, MapKind.PERMUTATION, discrete_grid(n), (), tuple(perm))
 
 
-def _odometer_bits(index: int, levels: int) -> tuple[int, ...]:
-    # index k encodes coordinates sum(a_i * 2^-i); a_1 is the most
-    # significant embedded digit but the least significant adding-machine
-    # digit.
-    return tuple((index >> (levels - i)) & 1 for i in range(1, levels + 1))
-
-
-def _odometer_index(bits: Sequence[int], levels: int) -> int:
-    return sum(b << (levels - i) for i, b in enumerate(bits, start=1))
-
-
 def odometer_system(levels: int, name: str | None = None) -> SystemSpec:
     """The +1 adding machine on {0,1}^levels, embedded as binary expansions.
 
@@ -314,25 +301,14 @@ def odometer_system(levels: int, name: str | None = None) -> SystemSpec:
     h = 2.0 ** (-levels)
     pts = tuple((k * h,) for k in range(n))
     space = FinitePhaseSpace(pts, Geometry.DISCRETE, h, gap=h)
-    perm = []
-    for k in range(n):
-        bits = list(_odometer_bits(k, levels))
-        carry = 1
-        for i in range(levels):
-            total = bits[i] + carry
-            bits[i] = total % 2
-            carry = total // 2
-            if not carry:
-                break
-        perm.append(_odometer_index(bits, levels))
-    return SystemSpec(
-        name or f"odometer-{levels}",
-        MapKind.ODOMETER,
-        space,
-        (),
-        tuple(perm),
-        levels,
-    )
+
+    def rev(k: int) -> int:
+        # index k encodes coordinates sum(a_i * 2^-i); a_1 is the most
+        # significant bit of k but the least significant adding-machine digit
+        return int(f"{k:0{levels}b}"[::-1], 2)
+
+    perm = tuple(rev((rev(k) + 1) % n) for k in range(n))
+    return SystemSpec(name or f"odometer-{levels}", MapKind.ODOMETER, space, (), perm, levels)
 
 
 def cantor_space(levels: int) -> FinitePhaseSpace:
@@ -517,7 +493,8 @@ def load_analysis_defaults(
 ) -> dict[str, Any]:
     """The optional ``analysis`` table of a spec file (CLI flag defaults), type-checked.
 
-    ``document`` is as for :func:`load_system`.
+    A key that sets no flag is a :class:`ValidationError`, so a typo is not
+    silently ignored.  ``document`` is as for :func:`load_system`.
     """
     doc = parse_spec(path) if document is None else document
     table = doc.get("analysis", {})
@@ -525,6 +502,10 @@ def load_analysis_defaults(
         return {}
     if not isinstance(table, dict):
         raise ValidationError("analysis must be a mapping")
+    for key in table:
+        if key not in _ANALYSIS_TYPES:
+            raise ValidationError(
+                f"unknown key analysis.{key}; known keys: {', '.join(sorted(_ANALYSIS_TYPES))}")
     for key, kind in _ANALYSIS_TYPES.items():
         if table.get(key) is not None:
             table[key] = _typed(table[key], kind, f"analysis.{key}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     IncompatibleSpaceError,
@@ -137,19 +137,29 @@ class FinitePhaseSpace:
     def dimension(self) -> int:
         return len(self.points[0])
 
+    def check_indices(self, indices: Collection[int], what: str) -> None:
+        """Raise :class:`OutOfRangeError` unless every one of ``indices`` lies in 0..n - 1.
+
+        The one grid-index check of the package; it only validates, so
+        callers keep their own order and repeats.
+        """
+        n = self.n
+        if min(indices, default=0) < 0 or max(indices, default=0) >= n:
+            bad = next(i for i in indices if not 0 <= i < n)
+            raise OutOfRangeError(f"{what} holds index {bad}, outside 0..{n - 1}")
+
+    def check_same(self, other: FinitePhaseSpace, what: str) -> None:
+        """Raise :class:`IncompatibleSpaceError` unless ``other`` is this space."""
+        if other != self:
+            raise IncompatibleSpaceError(f"{what} is over a different space")
+
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         """Sup-metric distance between two coordinate vectors."""
-        if self._wraps:
-            best = 0.0
-            for x, y in zip(a, b):
-                d = abs(x - y)
-                d = min(d, 1.0 - d)
-                if d > best:
-                    best = d
-            return best
-        best = 0.0
+        best, wraps = 0.0, self._wraps
         for x, y in zip(a, b):
             d = abs(x - y)
+            if wraps and d > 0.5:
+                d = 1.0 - d
             if d > best:
                 best = d
         return best
@@ -185,18 +195,16 @@ class FinitePhaseSpace:
         """:meth:`snap` of the one-coordinate point ``(c,)``, for a one-dimensional space.
 
         On a sorted space the rule needs only the :meth:`brackets` of c,
-        bisected here and visited in ascending order (a repeated candidate
-        never wins twice); their 1-D distances are computed as ``distance``
-        does.
+        visited in ascending order (a repeated candidate never wins twice);
+        their 1-D distances are computed as ``distance`` does.
         """
         xs = self._sorted
         if xs is None:
             return self.snap((c,))
-        last, k = len(xs) - 1, bisect_left(xs, c)
         best_i, best_d, wraps = 0, math.inf, self._wraps
-        for i in (0, k - 1 if k else 0, k if k <= last else last, last):
+        for i in self.brackets(c):
             d = abs(c - xs[i])
-            if wraps and 1.0 - d < d:
+            if wraps and d > 0.5:
                 d = 1.0 - d
             if d < best_d - COMPARISON_SLACK:
                 best_i, best_d = i, d
@@ -368,8 +376,7 @@ class Entourage:
         n = space.n
         rows: list[set[int]] = [set() for _ in range(n)]
         for x, y in pairs:
-            if not (0 <= x < n and 0 <= y < n):
-                raise OutOfRangeError(f"pair ({x}, {y}) references an invalid index")
+            space.check_indices((x, y), "pair")
             rows[x].add(y)
             if close:
                 rows[y].add(x)
@@ -527,8 +534,7 @@ def compose(e1: Entourage, e2: Entourage) -> Entourage:
     is an explicit relation (``scale=None``): a composite is not a metric
     ball in general.
     """
-    if e1.space != e2.space:
-        raise IncompatibleSpaceError("cannot compose entourages over different spaces")
+    e1.space.check_same(e2.space, "second entourage")
     rows = []
     for row in e1.rows:
         out: set[int] = set()
@@ -552,8 +558,7 @@ def power(e: Entourage, n: int) -> Entourage:
 
 def cross_section(e: Entourage, x: int) -> frozenset[int]:
     """E[x]: the set of indices related to x.  Contains x for any honest entourage."""
-    if not 0 <= x < e.n:
-        raise OutOfRangeError(f"index {x} out of range for {e.n} points")
+    e.space.check_indices((x,), "cross section")
     return frozenset(e.row(x))
 
 
@@ -572,10 +577,8 @@ class UniformityBasis:
     def __post_init__(self) -> None:
         if not self.levels:
             raise InvalidParameterError("a basis needs at least one level")
-        space = self.levels[0].space
         for lvl in self.levels:
-            if lvl.space != space:
-                raise IncompatibleSpaceError("all basis levels must share one space")
+            self.space.check_same(lvl.space, "basis level")
 
     @property
     def space(self) -> FinitePhaseSpace:
@@ -673,9 +676,7 @@ def refining_entourage(
     members = [frozenset(m) for m in cover]
     covered: set[int] = set()
     for m in members:
-        for i in m:
-            if not 0 <= i < n:
-                raise OutOfRangeError(f"cover references invalid index {i}")
+        basis.space.check_indices(m, "cover member")
         covered |= m
     if covered != set(range(n)):
         raise InvalidCoverError("cover does not cover the space")

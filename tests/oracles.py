@@ -141,6 +141,24 @@ def map_bruteforce(system, c: float) -> float:
     raise ValueError(f"{kind} has no float formula")
 
 
+def odometer_bruteforce(levels: int) -> tuple[int, ...]:
+    """The +1 adding machine on {0,1}^levels as an index permutation, by digit carries.
+
+    Index k holds the digits a_1..a_levels, a_1 its most significant bit;
+    a_1 is the adding machine's least significant digit, so the carry runs
+    from a_1 toward a_levels and all-ones wraps to all-zeros.
+    """
+    perm = []
+    for k in range(2 ** levels):
+        bits = [(k >> (levels - i)) & 1 for i in range(1, levels + 1)]
+        for i in range(levels):
+            bits[i] ^= 1
+            if bits[i]:  # 0 + 1 leaves no carry
+                break
+        perm.append(sum(b << (levels - i) for i, b in enumerate(bits, start=1)))
+    return tuple(perm)
+
+
 def omega_limit_bruteforce(system, x: int, transient: int, horizon: int) -> tuple[int, ...]:
     """Grid points within h/2 of some iterate f^t(x), transient <= t <= horizon, by full scans."""
     from chaindyn.systems import iterate

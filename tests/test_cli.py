@@ -321,6 +321,10 @@ class TestErrorsAndDefaults:
                 "map: identity\ngeometry: interval\ngrid_n: 8\nanalysis: {horizon: abc}\n",
                 "analysis.horizon",
             ),
+            (
+                "map: doubling\ngeometry: circle\ngrid_n: 16\nanalysis: {horizn: 50, sed: 3}\n",
+                "analysis.horizn",
+            ),
             ("map: identity\ngeometry: interval\ngrid_n: true\n", "grid_n"),
             ("map: permutation\ngeometry: circle\ngrid_n: 4\ncycles: [[0, 1]]\n", "geometry"),
         ],

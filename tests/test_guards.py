@@ -1,0 +1,128 @@
+"""Grid indices and second spaces are refused by the two ``FinitePhaseSpace`` guards.
+
+Every public function that takes a grid index or an object over a second
+space is listed once below.  An index of -1 or n is an
+:class:`OutOfRangeError` and a space of another size an
+:class:`IncompatibleSpaceError`; neither leaks a bare ``IndexError`` or
+reads an index from the end.
+"""
+
+import pytest
+
+from chaindyn import (
+    ChainAnalysis,
+    Entourage,
+    IncompatibleSpaceError,
+    OutOfRangeError,
+    PseudoOrbit,
+    UniformityBasis,
+    build_transition_graph,
+    circle_grid,
+    compose,
+    cross_section,
+    disconnectedness_dichotomy,
+    doubling_system,
+    dyadic_basis,
+    estimate_shadowing_modulus,
+    evaluate,
+    export_pseudo_orbit,
+    find_shadow_point,
+    generate_pseudo_orbit,
+    import_pseudo_orbit,
+    is_totally_chain_transitive,
+    isobasism_check,
+    iterate_shadowing_check,
+    make_epsilon_entourage,
+    nonwandering_points,
+    omega_limit,
+    omega_restriction_shadowing,
+    omega_subset_of_chain_recurrent,
+    refining_entourage,
+    return_times,
+    verify_pseudo_orbit,
+    weak_mixing_witness,
+)
+
+N = 16
+SYSTEM = doubling_system(N)
+SPACE = SYSTEM.space
+D = make_epsilon_entourage(SPACE, 0.25)
+BASIS = dyadic_basis(SPACE, 3)
+OTHER = circle_grid(8)
+D_OTHER = make_epsilon_entourage(OTHER, 0.25)
+BASIS_OTHER = dyadic_basis(OTHER, 3)
+
+
+def orbit(*states: int) -> PseudoOrbit:
+    return PseudoOrbit(states, D.label, None, states[1:])
+
+
+INDEX_TAKERS = {
+    "from_pairs": lambda i: Entourage.from_pairs(SPACE, [(0, i)], "p"),
+    "cross_section": lambda i: cross_section(D, i),
+    "refining_entourage": lambda i: refining_entourage(BASIS, [range(N), [i]]),
+    "evaluate": lambda i: evaluate(SYSTEM, i, 1),
+    "return_times": lambda i: return_times(SYSTEM, [0], [i], 5),
+    "weak_mixing_witness": lambda i: weak_mixing_witness(SYSTEM, [i], [0], 5),
+    "omega_limit": lambda i: omega_limit(SYSTEM, i, 1, 5),
+    "generate_pseudo_orbit-start": lambda i: generate_pseudo_orbit(SYSTEM, D, 5, 0, start=i),
+    "generate_pseudo_orbit-target": lambda i: generate_pseudo_orbit(
+        SYSTEM, D, 5, 0, "adversarial-drift", target=i),
+    "generate_pseudo_orbit-allowed": lambda i: generate_pseudo_orbit(
+        SYSTEM, D, 5, 0, allowed=[0, i]),
+    "verify_pseudo_orbit-first": lambda i: verify_pseudo_orbit(orbit(i, 0), SYSTEM, D),
+    "verify_pseudo_orbit-last": lambda i: verify_pseudo_orbit(orbit(0, i), SYSTEM, D),
+    "find_shadow_point-orbit": lambda i: find_shadow_point(orbit(i, 0), D, SYSTEM),
+    "find_shadow_point-candidates": lambda i: find_shadow_point(
+        orbit(0, 0), D, SYSTEM, candidates=[0, i]),
+    "export_pseudo_orbit-first": lambda i: export_pseudo_orbit(orbit(i, 0), SYSTEM),
+    "export_pseudo_orbit-last": lambda i: export_pseudo_orbit(orbit(0, i), SYSTEM),
+}
+
+SPACE_TAKERS = {
+    "compose": lambda: compose(D, D_OTHER),
+    "UniformityBasis": lambda: UniformityBasis((D, D_OTHER)),
+    "build_transition_graph": lambda: build_transition_graph(SYSTEM, D_OTHER),
+    "is_totally_chain_transitive": lambda: is_totally_chain_transitive(SYSTEM, D_OTHER, 2),
+    "is_totally_chain_transitive-analysis": lambda: is_totally_chain_transitive(
+        SYSTEM, D_OTHER, 1, analysis=ChainAnalysis.from_graph(build_transition_graph(SYSTEM, D))),
+    "nonwandering_points": lambda: nonwandering_points(SYSTEM, D_OTHER, 5),
+    "omega_subset_of_chain_recurrent": lambda: omega_subset_of_chain_recurrent(
+        SYSTEM, D_OTHER, 5),
+    "omega_restriction_shadowing": lambda: omega_restriction_shadowing(
+        SYSTEM, D_OTHER, BASIS, 5, 1, 0),
+    "generate_pseudo_orbit": lambda: generate_pseudo_orbit(SYSTEM, D_OTHER, 5, 0),
+    "verify_pseudo_orbit": lambda: verify_pseudo_orbit(orbit(12, 3), SYSTEM, D_OTHER),
+    "find_shadow_point": lambda: find_shadow_point(orbit(0, 0), D_OTHER, SYSTEM),
+    "estimate_shadowing_modulus-e": lambda: estimate_shadowing_modulus(
+        SYSTEM, D_OTHER, BASIS, 1, 5, 0),
+    "estimate_shadowing_modulus-basis": lambda: estimate_shadowing_modulus(
+        SYSTEM, D, BASIS_OTHER, 1, 5, 0),
+    "iterate_shadowing_check": lambda: iterate_shadowing_check(SYSTEM, D, BASIS_OTHER, 2, 1, 0),
+    "isobasism_check": lambda: isobasism_check(SYSTEM, BASIS_OTHER),
+    "disconnectedness_dichotomy-e": lambda: disconnectedness_dichotomy(
+        SPACE, D_OTHER, BASIS, 1, 0),
+    "disconnectedness_dichotomy-basis": lambda: disconnectedness_dichotomy(
+        SPACE, D, BASIS_OTHER, 1, 0),
+}
+
+
+@pytest.mark.parametrize("index", [-1, N], ids=["minus-one", "n"])
+@pytest.mark.parametrize("call", INDEX_TAKERS.values(), ids=INDEX_TAKERS.keys())
+def test_index_off_the_grid_is_out_of_range(call, index):
+    with pytest.raises(OutOfRangeError):
+        call(index)
+
+
+@pytest.mark.parametrize("call", SPACE_TAKERS.values(), ids=SPACE_TAKERS.keys())
+def test_object_over_another_space_is_incompatible(call):
+    with pytest.raises(IncompatibleSpaceError):
+        call()
+
+
+def test_imported_orbit_off_the_grid_is_out_of_range():
+    # the record format admits any non-negative index; the system decides
+    imported, _ = import_pseudo_orbit("0 0.0 99\n")
+    with pytest.raises(OutOfRangeError):
+        verify_pseudo_orbit(imported, SYSTEM, D)
+

@@ -31,7 +31,7 @@ from chaindyn import (
 )
 from chaindyn.systems import _separation, grid_permutation, load_analysis_defaults
 from chaindyn.uniform import MAX_POINTS, FinitePhaseSpace
-from oracles import map_bruteforce, resolution_bruteforce
+from oracles import map_bruteforce, odometer_bruteforce, resolution_bruteforce
 
 
 class TestEvaluate:
@@ -215,6 +215,10 @@ class TestOdometer:
         s = odometer_system(4)
         perm = s.permutation
         assert perm is not None and sorted(perm) == list(range(16))
+
+    @pytest.mark.parametrize("levels", range(1, 17))
+    def test_permutation_matches_the_carry_loop(self, levels):
+        assert odometer_system(levels).permutation == odometer_bruteforce(levels)
 
 
 class TestCantor:

@@ -70,11 +70,15 @@ class TransitionGraph:
         return sum(len(row) for row in self.succ)
 
     def has_edge(self, x: int, y: int) -> bool:
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise OutOfRangeError(f"edge ({x}, {y}) references an invalid vertex")
         return y in self.succ[x]
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], source=("", "")) -> TransitionGraph:
     """Convenience constructor for explicitly listed digraphs."""
+    if n < 0:
+        raise InvalidParameterError(f"a graph needs n >= 0 vertices, got {n}")
     rows: list[set[int]] = [set() for _ in range(n)]
     for x, y in edges:
         if not (0 <= x < n and 0 <= y < n):

@@ -1,22 +1,21 @@
 """Numerical-semigroup arithmetic backing chain-length realizability.
 
-Given coprime cycle lengths, every sufficiently large integer is a
-non-negative combination of them; :func:`frobenius_bound` computes the
-least such threshold by dynamic programming, certified by a run of
-``min(generators)`` consecutive representable values.  Inputs are capped
-at desk scale (generators <= 10^4, bound search <= 10^8).
+Coprime cycle lengths generate every large enough integer.
+:func:`representable` and :func:`frobenius_bound` both read one residue
+table per generator set, built in at most ``min(g) * |g|`` steps from
+generators capped at desk scale (<= 10^4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InvalidParameterError, NotCoprimeError, ResourceLimitError
 
 MAX_GENERATOR = 10_000
-MAX_BOUND_SEARCH = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,8 @@ class GeneratorSet:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.generators:
-            raise InvalidParameterError("at least one generator required")
+        if not self.generators or not all(type(v) is int for v in self.generators):
+            raise InvalidParameterError(f"need integer generators, got {self.generators!r}")
         normalized = tuple(sorted(set(self.generators)))
         if normalized[0] < 1:
             raise InvalidParameterError("generators must be >= 1")
@@ -43,6 +42,29 @@ class GeneratorSet:
     def smallest(self) -> int:
         return self.generators[0]
 
+    @cached_property
+    def residues(self) -> tuple[int | float, ...]:
+        """Entry r: the least representable value congruent to r mod min(g), or ``math.inf``.
+
+        Round robin (Böcker and Lipták, *A fast and simple algorithm for the
+        money changing problem*, Algorithmica 2007): each further generator b
+        walks the gcd(a, b) cycles of step b, each from its least entry.
+        """
+        a = self.smallest
+        w: list[int | float] = [0] + [math.inf] * (a - 1)
+        for b in self.generators[1:]:
+            if w[b % a] <= b:
+                continue  # b is already a combination of the others
+            d = math.gcd(a, b)
+            for p in range(d):
+                value = min(w[p::d])
+                if value < math.inf:
+                    for _ in range(a // d - 1):
+                        value += b
+                        r = value % a
+                        w[r] = value = min(value, w[r])
+        return tuple(w)
+
 
 def gcd_set(g: GeneratorSet) -> int:
     return math.gcd(*g.generators) if len(g.generators) > 1 else g.generators[0]
@@ -50,54 +72,18 @@ def gcd_set(g: GeneratorSet) -> int:
 
 def representable(s: int, g: GeneratorSet) -> bool:
     """True when s is a non-negative integer combination of the generators."""
-    if s < 0:
-        return False
-    table = bytearray(s + 1)
-    table[0] = 1
-    for t in range(1, s + 1):
-        for a in g.generators:
-            if a > t:
-                break
-            if table[t - a]:
-                table[t] = 1
-                break
-    return bool(table[s])
+    return s >= 0 and s >= g.residues[s % g.smallest]
 
 
 def frobenius_bound(g: GeneratorSet) -> int:
-    """Least N such that every integer s >= N is representable.
+    """Least N such that every integer s >= N is representable: the Frobenius number + 1.
 
-    Equals the Frobenius number plus one.  The DP scans upward and stops
-    once ``min(g)`` consecutive representable values appear: from there on
-    every integer is one of those values plus a multiple of min(g).
+    The largest gap lies min(g) below the largest residue-table entry.
     Raises :class:`NotCoprimeError` when gcd > 1 (no such N exists).
     """
     if gcd_set(g) != 1:
         raise NotCoprimeError("generators must have gcd 1")
-    smallest = g.smallest
-    if smallest == 1:
-        return 0
-    table = bytearray(1)
-    table[0] = 1
-    last_false = -1
-    t = 0
-    while True:
-        t += 1
-        if t > MAX_BOUND_SEARCH:
-            raise ResourceLimitError(
-                f"bound search exceeded {MAX_BOUND_SEARCH}"
-            )
-        table.append(0)
-        for a in g.generators:
-            if a > t:
-                break
-            if table[t - a]:
-                table[t] = 1
-                break
-        if not table[t]:
-            last_false = t
-        elif t - last_false >= smallest:
-            return last_false + 1
+    return max(g.residues) - g.smallest + 1
 
 
 def realizable_length_bound(cycle_lengths: GeneratorSet, diameter: int) -> int:
@@ -107,6 +93,6 @@ def realizable_length_bound(cycle_lengths: GeneratorSet, diameter: int) -> int:
     ``M`` the chain diameter: any target length above M + N splits into a
     loop at the point (length >= N) plus a connecting chain (length <= M).
     """
-    if diameter < 1:
-        raise InvalidParameterError("diameter must be >= 1")
+    if type(diameter) is not int or diameter < 1:
+        raise InvalidParameterError(f"diameter must be an integer >= 1, got {diameter!r}")
     return frobenius_bound(cycle_lengths) + diameter

@@ -144,9 +144,9 @@ class FinitePhaseSpace:
         callers keep their own order and repeats.
         """
         n = self.n
-        if min(indices, default=0) < 0 or max(indices, default=0) >= n:
-            bad = next(i for i in indices if not 0 <= i < n)
-            raise OutOfRangeError(f"{what} holds index {bad}, outside 0..{n - 1}")
+        for i in indices:
+            if not 0 <= i < n:
+                raise OutOfRangeError(f"{what} holds index {i}, outside 0..{n - 1}")
 
     def check_same(self, other: FinitePhaseSpace, what: str) -> None:
         """Raise :class:`IncompatibleSpaceError` unless ``other`` is this space."""
@@ -410,11 +410,13 @@ class Entourage:
 
     def row(self, x: int) -> list[int]:
         """Row x in ascending order."""
+        self.space.check_indices((x,), "entourage row")
         if self.arcs is not None:
             return arc_indices(self.arcs[x], self.n)
         return sorted(self.rows[x])
 
     def contains(self, x: int, y: int) -> bool:
+        self.space.check_indices((x, y), "entourage pair")
         if self.arcs is not None:
             return arc_contains(self.arcs[x], y, self.n)
         return y in self.rows[x]
@@ -558,7 +560,6 @@ def power(e: Entourage, n: int) -> Entourage:
 
 def cross_section(e: Entourage, x: int) -> frozenset[int]:
     """E[x]: the set of indices related to x.  Contains x for any honest entourage."""
-    e.space.check_indices((x,), "cross section")
     return frozenset(e.row(x))
 
 

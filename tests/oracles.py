@@ -7,6 +7,7 @@ library's own algorithms, so a disagreement always means a real bug.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -256,6 +257,36 @@ def gcd_of(values) -> int:
     for v in values:
         out = math.gcd(out, v)
     return out
+
+
+def representable_bruteforce(s: int, generators) -> bool:
+    """Whether s is a non-negative integer combination of ``generators``.
+
+    Tries every count of the largest generator and recurses on the rest;
+    the last one left must divide what remains.
+    """
+    return _coefficient_search(s, tuple(sorted(set(generators), reverse=True)))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _coefficient_search(s: int, generators: tuple[int, ...]) -> bool:
+    largest, *rest = generators
+    if not rest:
+        return s >= 0 and s % largest == 0
+    return any(_coefficient_search(s - c * largest, tuple(rest)) for c in range(s // largest + 1))
+
+
+def frobenius_bruteforce(generators) -> int:
+    """Least N with every s >= N representable, for coprime generators, by an upward scan.
+
+    Stops at the first run of min(generators) representable values: every
+    later value is one of them plus a multiple of min(generators).
+    """
+    smallest, run, s = min(generators), 0, 0
+    while run < smallest:
+        run = run + 1 if representable_bruteforce(s, generators) else 0
+        s += 1
+    return s - smallest
 
 
 def random_strongly_connected(rng: random.Random, n_max: int = 12) -> TransitionGraph:

@@ -1,10 +1,10 @@
 """Grid indices and second spaces are refused by the two ``FinitePhaseSpace`` guards.
 
-Every public function that takes a grid index or an object over a second
-space is listed once below.  An index of -1 or n is an
-:class:`OutOfRangeError` and a space of another size an
-:class:`IncompatibleSpaceError`; neither leaks a bare ``IndexError`` or
-reads an index from the end.
+Every public function or method that takes a grid index (or a vertex of
+a transition graph) or an object over a second space is listed once
+below.  An index of -1 or n is an :class:`OutOfRangeError` and a space of
+another size an :class:`IncompatibleSpaceError`; neither leaks a bare
+``IndexError`` or reads an index from the end.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from chaindyn import (
     ChainAnalysis,
     Entourage,
     IncompatibleSpaceError,
+    InvalidParameterError,
     OutOfRangeError,
     PseudoOrbit,
     UniformityBasis,
@@ -28,6 +29,7 @@ from chaindyn import (
     export_pseudo_orbit,
     find_shadow_point,
     generate_pseudo_orbit,
+    graph_from_edges,
     import_pseudo_orbit,
     is_totally_chain_transitive,
     isobasism_check,
@@ -47,6 +49,8 @@ N = 16
 SYSTEM = doubling_system(N)
 SPACE = SYSTEM.space
 D = make_epsilon_entourage(SPACE, 0.25)
+EXPLICIT = Entourage.from_pairs(SPACE, [(x, x) for x in range(N)], "diagonal")
+GRAPH = build_transition_graph(SYSTEM, D)
 BASIS = dyadic_basis(SPACE, 3)
 OTHER = circle_grid(8)
 D_OTHER = make_epsilon_entourage(OTHER, 0.25)
@@ -58,6 +62,13 @@ def orbit(*states: int) -> PseudoOrbit:
 
 
 INDEX_TAKERS = {
+    "Entourage.row": lambda i: D.row(i),
+    "Entourage.row-explicit": lambda i: EXPLICIT.row(i),
+    "Entourage.contains-x": lambda i: D.contains(i, 0),
+    "Entourage.contains-y": lambda i: D.contains(0, i),
+    "Entourage.contains-explicit": lambda i: EXPLICIT.contains(0, i),
+    "TransitionGraph.has_edge-x": lambda i: GRAPH.has_edge(i, 0),
+    "TransitionGraph.has_edge-y": lambda i: GRAPH.has_edge(0, i),
     "from_pairs": lambda i: Entourage.from_pairs(SPACE, [(0, i)], "p"),
     "cross_section": lambda i: cross_section(D, i),
     "refining_entourage": lambda i: refining_entourage(BASIS, [range(N), [i]]),
@@ -126,3 +137,7 @@ def test_imported_orbit_off_the_grid_is_out_of_range():
     with pytest.raises(OutOfRangeError):
         verify_pseudo_orbit(imported, SYSTEM, D)
 
+
+def test_graph_of_negative_size_is_invalid():
+    with pytest.raises(InvalidParameterError):
+        graph_from_edges(-1, [])

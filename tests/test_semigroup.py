@@ -14,6 +14,7 @@ from chaindyn import (
     realizable_length_bound,
     representable,
 )
+from oracles import frobenius_bruteforce, representable_bruteforce
 
 
 def test_gcd_examples():
@@ -32,6 +33,9 @@ def test_generators_validated():
         GeneratorSet.of([])
     with pytest.raises(InvalidParameterError):
         GeneratorSet.of([0, 3])
+    for not_int in ([2.5, 3], [3.0, 5], [True, 3]):
+        with pytest.raises(InvalidParameterError):
+            GeneratorSet.of(not_int)
     with pytest.raises(ResourceLimitError):
         GeneratorSet.of([10_001])
 
@@ -41,21 +45,23 @@ def test_representable_examples():
     assert representable(0, g35)
     assert not representable(7, g35)
     assert representable(8, g35)
+    # no table over 0..s: a huge s is answered from min(g) residues
+    assert representable(10**18, g35)
+    assert not representable(10**18 + 1, GeneratorSet.of([2, 4]))
 
 
-def test_representable_matches_exhaustive_dp():
-    # independent oracle: explicit coefficient search
-    g = GeneratorSet.of([4, 7, 9])
-
-    def brute(s):
-        for a in range(s // 4 + 1):
-            for b in range((s - 4 * a) // 7 + 1):
-                if (s - 4 * a - 7 * b) % 9 == 0 and s - 4 * a - 7 * b >= 0:
-                    return True
-        return False
-
-    for s in range(60):
-        assert representable(s, g) == brute(s)
+@given(gens=st.sets(st.integers(min_value=1, max_value=24), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_representable_matches_exhaustive_dp(gens):
+    # gcd > 1 and singletons included; the oracles search coefficients
+    g = GeneratorSet.of(gens)
+    for s in range(200):
+        assert representable(s, g) == representable_bruteforce(s, gens)
+    if gcd_set(g) == 1:
+        assert frobenius_bound(g) == frobenius_bruteforce(gens)
+    else:
+        with pytest.raises(NotCoprimeError):
+            frobenius_bound(g)
 
 
 def test_frobenius_examples():
@@ -76,6 +82,8 @@ def test_two_generator_closed_form():
             if math.gcd(a, b) != 1:
                 continue
             assert frobenius_bound(GeneratorSet.of([a, b])) == a * b - a - b + 1
+    # the largest pair under the generator cap, near 10^8
+    assert frobenius_bound(GeneratorSet.of([9999, 10000])) == 9999 * 10000 - 9999 - 10000 + 1
 
 
 @given(
@@ -133,16 +141,11 @@ def test_realizable_length_bound_dp_verification():
     assert missing, "bound should not be vacuous on this graph"
 
 
-def test_bound_search_cap_raises(monkeypatch):
-    from chaindyn import semigroup
-
-    monkeypatch.setattr(semigroup, "MAX_BOUND_SEARCH", 10)
-    with pytest.raises(ResourceLimitError):
-        frobenius_bound(GeneratorSet.of([6, 35]))  # bound 144 exceeds the cap
-
-
 def test_realizable_length_bound_validates():
     with pytest.raises(InvalidParameterError):
         realizable_length_bound(GeneratorSet.of([2, 3]), 0)
+    for not_int in (1.5, True):
+        with pytest.raises(InvalidParameterError):
+            realizable_length_bound(GeneratorSet.of([3, 5]), not_int)
     with pytest.raises(NotCoprimeError):
         realizable_length_bound(GeneratorSet.of([4, 6]), 3)

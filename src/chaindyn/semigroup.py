@@ -72,6 +72,8 @@ def gcd_set(g: GeneratorSet) -> int:
 
 def representable(s: int, g: GeneratorSet) -> bool:
     """True when s is a non-negative integer combination of the generators."""
+    if type(s) is not int:
+        raise InvalidParameterError(f"s must be an integer, got {s!r}")
     return s >= 0 and s >= g.residues[s % g.smallest]
 
 

@@ -21,7 +21,9 @@ Design notes baked into this module:
   run of consecutive indices: ``0 <= lo < n`` and ``lo <= hi <= lo + n - 1``,
   and ``hi >= n`` means the run wraps past n - 1 to 0 on the circle.  Its
   index sets are built only for callers that ask for them, and the relation
-  queries and the axiom check read the runs in O(n) per level.
+  queries and the axiom check read the runs in O(n) per level; on a uniform
+  grid each level is one half-width k (see ``_half_width``): its runs take
+  one pass, with no bisection, and the axiom check is O(1) per level.
 * Circle distance is ``min(|a-b|, 1-|a-b|)`` per coordinate and product
   geometries take the coordinate-wise max, so an ``eps``-relation composed
   with itself stays inside the ``2*eps``-relation.
@@ -102,6 +104,8 @@ class FinitePhaseSpace:
     _sorted: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
     #: ``geometry.wraps``, read once.
     _wraps: bool = field(init=False, compare=False, repr=False)
+    #: Grid steps of a uniform grid: n on ``circle_grid``, n - 1 on ``interval_grid``.
+    _steps: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_wraps", self.geometry.wraps)
@@ -298,9 +302,9 @@ def _arc_subset(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:
 
 
 def _check_grid_size(n: int) -> None:
-    """Reject a grid size below 1 or past the cap before any point is built."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    """Reject a grid size that is not an int >= 1, or past the cap, before any point is built."""
+    if type(n) is not int or n < 1:
+        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
     if n > MAX_POINTS:
         raise ResourceLimitError(f"{n} points exceed the cap of {MAX_POINTS}")
 
@@ -317,14 +321,18 @@ def interval_grid(n: int) -> FinitePhaseSpace:
     if n == 1:
         return FinitePhaseSpace(((0.0,),), Geometry.INTERVAL, 1.0)
     pts = tuple((k / (n - 1),) for k in range(n))
-    return FinitePhaseSpace(pts, Geometry.INTERVAL, 1.0 / (n - 1))
+    space = FinitePhaseSpace(pts, Geometry.INTERVAL, 1.0 / (n - 1))
+    object.__setattr__(space, "_steps", n - 1)
+    return space
 
 
 def circle_grid(n: int) -> FinitePhaseSpace:
     """Uniform n-point grid on the circle with spacing h = 1/n."""
     _check_grid_size(n)
     pts = tuple((k / n,) for k in range(n))
-    return FinitePhaseSpace(pts, Geometry.CIRCLE, 1.0 / n)
+    space = FinitePhaseSpace(pts, Geometry.CIRCLE, 1.0 / n)
+    object.__setattr__(space, "_steps", n)
+    return space
 
 
 def discrete_grid(n: int) -> FinitePhaseSpace:
@@ -348,7 +356,8 @@ class Entourage:
     caller asks for them; the relation queries below read the runs when
     every entourage involved has them.  A metric entourage records the
     ``scale`` (the epsilon that generated it); explicit relations keep
-    ``scale=None``, unless a caller attaches one to explicit rows.
+    ``scale=None``, unless a caller attaches one to explicit rows.  On a uniform
+    grid (and a sorted diagonal) ``half_width`` is the k of "index distance <= k".
     """
 
     space: FinitePhaseSpace
@@ -356,6 +365,7 @@ class Entourage:
     label: str
     scale: float | None = None
     arcs: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
+    half_width: int | None = field(default=None, repr=False)
 
     @classmethod
     def from_pairs(
@@ -428,11 +438,13 @@ class Entourage:
 
     def has_diagonal(self) -> bool:
         if self.arcs is not None:
-            n = self.n
-            return all(arc_contains(arc, i, n) for i, arc in enumerate(self.arcs))
+            n, arcs = self.n, self.arcs
+            return self.half_width is not None or all(map(arc_contains, arcs, range(n), [n] * n))
         return all(i in row for i, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
+        if self.half_width is not None:
+            return True
         ends, n = self._ends, self.n
         if ends is not None:
             # Row x reaches back from both of its ends, so by the staircase
@@ -447,11 +459,13 @@ class Entourage:
         return all(x in self.rows[y] for x, row in enumerate(self.rows) for y in row)
 
     def is_diagonal_only(self) -> bool:
-        if self.arcs is not None:
-            return all(arc == (i, i) for i, arc in enumerate(self.arcs))
+        if self.arcs is not None:  # a run of half-width k > 0 fails at index 0
+            return self.half_width == 0 or all(arc == (i, i) for i, arc in enumerate(self.arcs))
         return all(row == frozenset((i,)) for i, row in enumerate(self.rows))
 
     def is_subset(self, other: "Entourage") -> bool:
+        if self.half_width is not None and other.half_width is not None:
+            return self.half_width <= other.half_width  # a full other has the largest k
         if self.arcs is not None and other.arcs is not None:
             n = self.n
             return all(_arc_subset(a, b, n) for a, b in zip(self.arcs, other.arcs))
@@ -465,8 +479,11 @@ class Entourage:
         end of the row of self[x]'s low end to the high end of the row of
         its high end, and it is compared with other[x] in O(1).  Otherwise
         the test is self[z] inside other[x] for every such z; either way it
-        stops at the first miss.
+        stops at the first miss.  With half-widths the composite is 2k wide.
         """
+        k, big_k = self.half_width, other.half_width
+        if k is not None and big_k is not None:  # other holds 2k or is full
+            return 2 * k <= big_k or big_k >= _half_width(self.space, 1.0)
         ends, n = self._ends, self.n
         if ends is None or other.arcs is None:
             rows = self.rows
@@ -515,16 +532,39 @@ def make_epsilon_entourage(space: FinitePhaseSpace, epsilon: float) -> Entourage
     _check_epsilon(epsilon)
     label, scale = f"eps={epsilon:g}", float(epsilon)
     if space._sorted is not None:
-        arcs = tuple(space.arc_within(p, epsilon) for p in space.points)
-        return Entourage(space, None, label, scale, arcs)
+        k, n = _half_width(space, bound := epsilon + COMPARISON_SLACK), space.n
+        if k is None:
+            arcs = tuple(space.arc_within(p, epsilon) for p in space.points)
+        elif not space._wraps:  # run i is (max(0, i - k), min(n - 1, i + k))
+            arcs = tuple(zip([*[0] * k, *range(n - k)], [*range(k, n), *[n - 1] * k]))
+        elif bound >= 0.5:
+            arcs = ((0, n - 1),) * n
+        else:  # run i is ((i - k) % n, (i - k) % n + 2k)
+            arcs = tuple((lo, lo + 2 * k) for lo in [*range(n - k, n), *range(n - k)])
+        return Entourage(space, None, label, scale, arcs, k)
     rows = tuple(frozenset(space.indices_within(p, epsilon)) for p in space.points)
     return Entourage(space, rows, label, scale)
+
+
+def _half_width(space: FinitePhaseSpace, bound: float) -> int | None:
+    """k with dist(i, j) <= bound iff |i - j| <= k (circular on the circle), on a uniform grid.
+
+    A computed distance lies within 5e-16 of |i - j| * h, so where t = bound / h is within
+    1e-14 * (steps + t), 20 times that, of an integer, None leaves it to the per-point scan.
+    """
+    steps, wraps = space._steps, space._wraps
+    if steps is None:
+        return None
+    if bound >= (0.5 if wraps else 1.0):
+        return steps // 2 if wraps else steps
+    t = bound * steps
+    return None if abs(round(t) - t) <= 1e-14 * (steps + t) else math.floor(t)
 
 
 def diagonal_entourage(space: FinitePhaseSpace) -> Entourage:
     """The diagonal-only relation, the uniformity floor of the finite model."""
     if space._sorted is not None:
-        return Entourage(space, None, "diag", 0.0, tuple((i, i) for i in range(space.n)))
+        return Entourage(space, None, "diag", 0.0, tuple(zip(range(space.n), range(space.n))), 0)
     rows = tuple(frozenset((i,)) for i in range(space.n))
     return Entourage(space, rows, "diag", 0.0)
 
@@ -548,8 +588,8 @@ def compose(e1: Entourage, e2: Entourage) -> Entourage:
 
 def power(e: Entourage, n: int) -> Entourage:
     """n-fold composition E^n; power(e, 1) is e itself."""
-    if n < 1:
-        raise InvalidParameterError("power requires n >= 1")
+    if type(n) is not int or n < 1:
+        raise InvalidParameterError(f"power requires an integer n >= 1, got {n!r}")
     if n == 1:
         return e
     result = e
@@ -598,8 +638,8 @@ class UniformityBasis:
 
 def dyadic_basis(space: FinitePhaseSpace, levels: int) -> UniformityBasis:
     """Metric basis with scales 2^0, 2^-1, ..., 2^-(levels-1) plus the diagonal floor."""
-    if levels < 1:
-        raise InvalidParameterError("levels must be >= 1")
+    if type(levels) is not int or levels < 1:
+        raise InvalidParameterError(f"levels must be an integer >= 1, got {levels!r}")
     ents = [make_epsilon_entourage(space, 2.0 ** (-k)) for k in range(levels)]
     ents.append(diagonal_entourage(space))
     return UniformityBasis(tuple(ents))

@@ -4,7 +4,9 @@ Every public function or method that takes a grid index (or a vertex of
 a transition graph) or an object over a second space is listed once
 below.  An index of -1 or n is an :class:`OutOfRangeError` and a space of
 another size an :class:`IncompatibleSpaceError`; neither leaks a bare
-``IndexError`` or reads an index from the end.
+``IndexError`` or reads an index from the end.  A count that is not an
+``int`` (a float, a string or a bool) is an :class:`InvalidParameterError`,
+never a bare ``TypeError`` or a grid of ``True`` points.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from chaindyn import (
     ChainAnalysis,
     Entourage,
+    GeneratorSet,
     IncompatibleSpaceError,
     InvalidParameterError,
     OutOfRangeError,
@@ -22,6 +25,7 @@ from chaindyn import (
     compose,
     cross_section,
     disconnectedness_dichotomy,
+    discrete_grid,
     doubling_system,
     dyadic_basis,
     estimate_shadowing_modulus,
@@ -31,6 +35,7 @@ from chaindyn import (
     generate_pseudo_orbit,
     graph_from_edges,
     import_pseudo_orbit,
+    interval_grid,
     is_totally_chain_transitive,
     isobasism_check,
     iterate_shadowing_check,
@@ -39,7 +44,9 @@ from chaindyn import (
     omega_limit,
     omega_restriction_shadowing,
     omega_subset_of_chain_recurrent,
+    power,
     refining_entourage,
+    representable,
     return_times,
     verify_pseudo_orbit,
     weak_mixing_witness,
@@ -117,6 +124,15 @@ SPACE_TAKERS = {
         SPACE, D, BASIS_OTHER, 1, 0),
 }
 
+NON_INTEGER_TAKERS = {
+    "representable": lambda v: representable(v, GeneratorSet.of([3, 5])),
+    "circle_grid": circle_grid,
+    "interval_grid": interval_grid,
+    "discrete_grid": discrete_grid,
+    "dyadic_basis": lambda v: dyadic_basis(SPACE, v),
+    "power": lambda v: power(D, v),
+}
+
 
 @pytest.mark.parametrize("index", [-1, N], ids=["minus-one", "n"])
 @pytest.mark.parametrize("call", INDEX_TAKERS.values(), ids=INDEX_TAKERS.keys())
@@ -141,3 +157,10 @@ def test_imported_orbit_off_the_grid_is_out_of_range():
 def test_graph_of_negative_size_is_invalid():
     with pytest.raises(InvalidParameterError):
         graph_from_edges(-1, [])
+
+
+@pytest.mark.parametrize("value", [2.5, 8.0, "8", True], ids=["2.5", "8.0", "str", "bool"])
+@pytest.mark.parametrize("call", NON_INTEGER_TAKERS.values(), ids=NON_INTEGER_TAKERS.keys())
+def test_count_that_is_not_an_int_is_invalid(call, value):
+    with pytest.raises(InvalidParameterError):
+        call(value)

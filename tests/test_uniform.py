@@ -27,7 +27,8 @@ from chaindyn import (
     refining_entourage,
     verify_uniformity_axioms,
 )
-from chaindyn.uniform import arc_indices, mask_indices, run_mask
+from chaindyn.systems import catalog_systems
+from chaindyn.uniform import COMPARISON_SLACK, arc_indices, mask_indices, run_mask
 from oracles import ball_bruteforce, nearest_bruteforce, sorted_list_space, within_bruteforce
 
 
@@ -362,6 +363,119 @@ class TestIntervalEntourage:
         assert d == d_rows
         for query in ("pair_count", "has_diagonal", "is_symmetric", "is_diagonal_only"):
             assert getattr(d, query)() == getattr(d_rows, query)(), query
+
+
+def scanned_runs(space, epsilon):
+    """The run of every ball, one bisection per point."""
+    return tuple(space.arc_within(p, epsilon) for p in space.points)
+
+
+def without_half_width(e):
+    """The same relation with no half-width, so every query reads the runs or rows."""
+    return Entourage(e.space, e._rows, e.label, e.scale, e.arcs)
+
+
+GRID_DELTAS = (0.0, COMPARISON_SLACK / 2, COMPARISON_SLACK, 2 * COMPARISON_SLACK)
+
+
+class TestUniformGridRuns:
+    """On circle_grid and interval_grid every ball of one scale is one shifted run."""
+
+    @given(
+        grid=st.sampled_from((circle_grid, interval_grid)),
+        n=st.integers(min_value=1, max_value=4096),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_runs_match_the_per_point_scan(self, grid, n, data):
+        space = grid(n)
+        h = space.resolution
+        m = data.draw(st.integers(min_value=0, max_value=math.ceil(1 / h) + 1))
+        base = m * h
+        delta = data.draw(st.sampled_from(
+            (*GRID_DELTAS, *(-d for d in GRID_DELTAS[1:]), math.ulp(base), -math.ulp(base))))
+        epsilon = data.draw(st.sampled_from((base + delta, 2.0 ** -data.draw(st.integers(0, 12)))))
+        if epsilon <= 0:
+            return
+        e = make_epsilon_entourage(space, epsilon)
+        assert e.arcs == scanned_runs(space, epsilon), epsilon
+        if epsilon == base and n > 1:
+            assert e.half_width is not None  # an exact multiple of h takes no bisection
+
+    @pytest.mark.parametrize("n", [2 ** 10, 2 ** 12, 3 * 2 ** 8, 3 * 2 ** 10])
+    def test_dyadic_levels_take_the_shared_run(self, n):
+        for space in (circle_grid(n), interval_grid(n + 1)):
+            for level in dyadic_basis(space, 13).levels:
+                assert level.half_width is not None, (space.n, level.label)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_scale_at_the_float_error_of_a_multiple_scans_each_point(self, n):
+        # 0.009999999999 plus the slack is 1/100 to the last bits, so the
+        # grid point 1/100 away may land on either side of the bound
+        space = circle_grid(n)
+        e = make_epsilon_entourage(space, 0.009999999999)
+        assert e.half_width is None
+        assert e.arcs == scanned_runs(space, 0.009999999999)
+
+    @given(
+        grid=st.sampled_from((circle_grid, interval_grid)),
+        n=st.integers(min_value=1, max_value=48),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_half_width_answers_match_the_runs(self, grid, n, data):
+        space = grid(n)
+        h = space.resolution
+        scales = data.draw(st.lists(st.one_of(
+            st.sampled_from((h / 2, h, 2 * h, 3 * h, 0.25, 0.5 - 1e-12, 0.5, 1.0, 2.0)),
+            st.integers(1, n).map(lambda m: m * h),
+            st.floats(min_value=1e-3, max_value=1.0)), min_size=1, max_size=4))
+        levels = [make_epsilon_entourage(space, r) for r in scales] + [diagonal_entourage(space)]
+        plain = [without_half_width(e) for e in levels]
+        for a, pa in zip(levels, plain):
+            for query in ("has_diagonal", "is_symmetric", "is_diagonal_only"):
+                assert getattr(a, query)() == getattr(pa, query)(), (query, a.label)
+            for b, pb in zip(levels, plain):
+                assert a.is_subset(b) == pa.is_subset(pb), (a.label, b.label)
+                assert a.square_is_subset(b) == pa.square_is_subset(pb), (a.label, b.label)
+                assert a.square_is_subset(b) == compose(a, a).is_subset(b), (a.label, b.label)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64, 96])
+    def test_axiom_reports_match_without_half_widths(self, n):
+        for system in catalog_systems(n):
+            basis = dyadic_basis(system.space, 8)
+            plain = UniformityBasis(tuple(without_half_width(e) for e in basis.levels))
+            assert verify_uniformity_axioms(basis) == verify_uniformity_axioms(plain), system.name
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        """Count the per-point bisections and the staircase builds."""
+        calls = {"arc_within": 0, "_ends": 0}
+        arc_within, ends = FinitePhaseSpace.arc_within, Entourage._ends.func
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(FinitePhaseSpace, "arc_within", counted("arc_within", arc_within))
+        monkeypatch.setattr(Entourage, "_ends", property(counted("_ends", ends)))
+        return calls
+
+    @pytest.mark.parametrize("space", [circle_grid(1024), interval_grid(1025)],
+                             ids=["circle-1024", "interval-1025"])
+    def test_uniform_grid_basis_and_axioms_scan_no_point(self, monkeypatch, space):
+        calls = self.count_scans(monkeypatch)
+        assert verify_uniformity_axioms(dyadic_basis(space, 8)).all_ok
+        assert calls == {"arc_within": 0, "_ends": 0}
+
+    def test_points_list_basis_and_axioms_scan_each_point(self, monkeypatch):
+        # the circle grid's own coordinates, given as a list: not marked uniform
+        space = FinitePhaseSpace(circle_grid(1024).points, Geometry.CIRCLE, 1 / 1024)
+        calls = self.count_scans(monkeypatch)
+        assert verify_uniformity_axioms(dyadic_basis(space, 8)).all_ok
+        assert calls["arc_within"] == 8 * 1024 and calls["_ends"] > 0
 
 
 class TestComposition:

@@ -20,10 +20,8 @@ Design notes baked into this module:
   keeps one index run ``(lo, hi)`` per row instead, since a ball there is a
   run of consecutive indices: ``0 <= lo < n`` and ``lo <= hi <= lo + n - 1``,
   and ``hi >= n`` means the run wraps past n - 1 to 0 on the circle.  Its
-  index sets are built only for callers that ask for them, and the relation
-  queries and the axiom check read the runs in O(n) per level; on a uniform
-  grid each level is one half-width k (see ``_half_width``): its runs take
-  one pass, with no bisection, and the axiom check is O(1) per level.
+  index sets are built only for callers that ask for them.  On a uniform grid
+  (``_half_width``) a level is one comprehension and the axiom check O(1), else O(n).
 * Circle distance is ``min(|a-b|, 1-|a-b|)`` per coordinate and product
   geometries take the coordinate-wise max, so an ``eps``-relation composed
   with itself stays inside the ``2*eps``-relation.
@@ -315,24 +313,25 @@ def _check_epsilon(epsilon: float) -> None:
         raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
+def _derived(obj, name: str, value):
+    object.__setattr__(obj, name, value)
+    return obj
+
+
 def interval_grid(n: int) -> FinitePhaseSpace:
     """Uniform n-point grid on [0, 1] with spacing h = 1/(n-1)."""
     _check_grid_size(n)
     if n == 1:
         return FinitePhaseSpace(((0.0,),), Geometry.INTERVAL, 1.0)
     pts = tuple((k / (n - 1),) for k in range(n))
-    space = FinitePhaseSpace(pts, Geometry.INTERVAL, 1.0 / (n - 1))
-    object.__setattr__(space, "_steps", n - 1)
-    return space
+    return _derived(FinitePhaseSpace(pts, Geometry.INTERVAL, 1.0 / (n - 1)), "_steps", n - 1)
 
 
 def circle_grid(n: int) -> FinitePhaseSpace:
     """Uniform n-point grid on the circle with spacing h = 1/n."""
     _check_grid_size(n)
     pts = tuple((k / n,) for k in range(n))
-    space = FinitePhaseSpace(pts, Geometry.CIRCLE, 1.0 / n)
-    object.__setattr__(space, "_steps", n)
-    return space
+    return _derived(FinitePhaseSpace(pts, Geometry.CIRCLE, 1.0 / n), "_steps", n)
 
 
 def discrete_grid(n: int) -> FinitePhaseSpace:
@@ -356,8 +355,8 @@ class Entourage:
     caller asks for them; the relation queries below read the runs when
     every entourage involved has them.  A metric entourage records the
     ``scale`` (the epsilon that generated it); explicit relations keep
-    ``scale=None``, unless a caller attaches one to explicit rows.  On a uniform
-    grid (and a sorted diagonal) ``half_width`` is the k of "index distance <= k".
+    ``scale=None``, unless a caller attaches one to explicit rows.  Only the builders
+    set ``half_width``: k of "index distance <= k" on a uniform grid or sorted diagonal.
     """
 
     space: FinitePhaseSpace
@@ -365,7 +364,7 @@ class Entourage:
     label: str
     scale: float | None = None
     arcs: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
-    half_width: int | None = field(default=None, repr=False)
+    half_width: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_pairs(
@@ -438,8 +437,8 @@ class Entourage:
 
     def has_diagonal(self) -> bool:
         if self.arcs is not None:
-            n, arcs = self.n, self.arcs
-            return self.half_width is not None or all(map(arc_contains, arcs, range(n), [n] * n))
+            n, k = self.n, self.half_width
+            return k is not None or all(arc_contains(arc, i, n) for i, arc in enumerate(self.arcs))
         return all(i in row for i, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
@@ -541,7 +540,7 @@ def make_epsilon_entourage(space: FinitePhaseSpace, epsilon: float) -> Entourage
             arcs = ((0, n - 1),) * n
         else:  # run i is ((i - k) % n, (i - k) % n + 2k)
             arcs = tuple((lo, lo + 2 * k) for lo in [*range(n - k, n), *range(n - k)])
-        return Entourage(space, None, label, scale, arcs, k)
+        return _derived(Entourage(space, None, label, scale, arcs), "half_width", k)
     rows = tuple(frozenset(space.indices_within(p, epsilon)) for p in space.points)
     return Entourage(space, rows, label, scale)
 
@@ -564,7 +563,8 @@ def _half_width(space: FinitePhaseSpace, bound: float) -> int | None:
 def diagonal_entourage(space: FinitePhaseSpace) -> Entourage:
     """The diagonal-only relation, the uniformity floor of the finite model."""
     if space._sorted is not None:
-        return Entourage(space, None, "diag", 0.0, tuple(zip(range(space.n), range(space.n))), 0)
+        diag = Entourage(space, None, "diag", 0.0, tuple((i, i) for i in range(space.n)))
+        return _derived(diag, "half_width", 0)
     rows = tuple(frozenset((i,)) for i in range(space.n))
     return Entourage(space, rows, "diag", 0.0)
 

@@ -447,6 +447,16 @@ class TestUniformGridRuns:
             plain = UniformityBasis(tuple(without_half_width(e) for e in basis.levels))
             assert verify_uniformity_axioms(basis) == verify_uniformity_axioms(plain), system.name
 
+    def test_half_width_is_no_constructor_argument(self):
+        # an explicit relation cannot claim a half-width its rows do not have
+        space = circle_grid(4)
+        rows = tuple(frozenset({i, (i + 1) % 4}) for i in range(4))
+        with pytest.raises(TypeError):
+            Entourage(space, rows, "x", None, None, 1)
+        e = Entourage(space, rows, "x")
+        assert e.half_width is None and not e.is_symmetric()
+        assert not e.is_subset(make_epsilon_entourage(space, 0.01))
+
     @staticmethod
     def count_scans(monkeypatch):
         """Count the per-point bisections and the staircase builds."""

@@ -24,11 +24,11 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _parallel
 from .errors import (
-    InvalidParameterError,
     NoCoprimeCyclesError,
     NoCycleError,
     OutOfRangeError,
     UndefinedDiameterError,
+    check_count,
 )
 from .systems import SystemSpec
 from .uniform import Entourage, mask_indices
@@ -77,8 +77,7 @@ class TransitionGraph:
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], source=("", "")) -> TransitionGraph:
     """Convenience constructor for explicitly listed digraphs."""
-    if n < 0:
-        raise InvalidParameterError(f"a graph needs n >= 0 vertices, got {n}")
+    check_count(n, "n", 0)
     rows: list[set[int]] = [set() for _ in range(n)]
     for x, y in edges:
         if not (0 <= x < n and 0 <= y < n):
@@ -240,8 +239,7 @@ def is_totally_chain_transitive(
     analysed again.
     """
     system.space.check_same(d.space, "entourage")
-    if n_max < 1:
-        raise InvalidParameterError("n_max must be >= 1")
+    check_count(n_max, "n_max")
     if analysis is None:
         analysis = ChainAnalysis.from_graph(build_transition_graph(system, d))
     return analysis.transitive and all(
@@ -343,8 +341,7 @@ def power_graph(g: TransitionGraph, k: int) -> TransitionGraph:
     not the transition graph of an iterated map, which must be built from
     exact images (see :func:`build_transition_graph`).
     """
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
+    check_count(k, "k")
     masks = _successor_masks(g)
     reach = list(masks)
     for _ in range(k - 1):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one guard for count arguments.
 
 Every error raised by chaindyn derives from :class:`ChainDynError`, so the
 CLI (and embedding code) can catch one base class and map it to a nonzero
@@ -60,3 +60,9 @@ class DiscretizationTooCoarseError(ChainDynError, RuntimeError):
 
 class NoNonwanderingPointsError(ChainDynError, RuntimeError):
     """The finite non-wandering set is empty at the requested scale."""
+
+
+def check_count(value: object, what: str, least: int = 1) -> None:
+    """Raise :class:`InvalidParameterError` unless ``value`` is an int (no bool) >= ``least``."""
+    if type(value) is not int or value < least:
+        raise InvalidParameterError(f"{what} must be an integer >= {least}, got {value!r}")

@@ -29,7 +29,7 @@ from .chaingraph import (
     chain_recurrent_set,
     strongly_connected_components,
 )
-from .errors import InvalidParameterError, NoNonwanderingPointsError
+from .errors import InvalidParameterError, NoNonwanderingPointsError, check_count
 from .shadowing import estimate_shadowing_modulus
 from .systems import SystemSpec
 from .uniform import COMPARISON_SLACK, Entourage, UniformityBasis, mask_indices, run_mask
@@ -115,8 +115,7 @@ def return_times(
     documented nearest-snap rule.  n = 0 is included exactly when U and V
     intersect.
     """
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be >= 1")
+    check_count(horizon, "horizon")
     us, vs = _check_sets(system, u, v)
     vset = set(vs)
     hits: set[int] = set()
@@ -162,13 +161,11 @@ def nonwandering_points(
       visited, off it at a float fixed point.
     """
     system.space.check_same(scale.space, "entourage")
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be >= 1")
+    check_count(horizon, "horizon")
     space, images, f = system.space, system.grid_images, system.float_step
     points, n = space.points, space.n
     tol, snap = space.resolution / 2 + COMPARISON_SLACK, space.snap_value
-    arcs = scale.arcs
-    if arcs is not None and scale.scale is not None:
+    if (arcs := scale.arcs) is not None:
         def col(u: int) -> int:
             return run_mask(arcs[u], n)
 
@@ -268,8 +265,7 @@ def weak_mixing_witness(
     hitting sets are read from its snaps.
     """
     us, vs = _check_sets(system, u, v)
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be >= 1")
+    check_count(horizon, "horizon")
     uset, vset = set(us), set(vs)
     uu: set[int] = set()
     uv: set[int] = set()
@@ -292,8 +288,8 @@ def omega_limit(
     """
     space = system.space
     space.check_indices((x,), "x")
-    if not 0 < transient < horizon:
-        raise InvalidParameterError("need 0 < transient < horizon")
+    check_count(transient, "transient")
+    check_count(horizon, "horizon", transient + 1)
     radius = space.resolution / 2
     seen: set[int] = set()
     coords, at = space.points[x], x

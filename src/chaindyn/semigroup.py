@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InvalidParameterError, NotCoprimeError, ResourceLimitError
+from .errors import InvalidParameterError, NotCoprimeError, ResourceLimitError, check_count
 
 MAX_GENERATOR = 10_000
 
@@ -25,11 +25,11 @@ class GeneratorSet:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.generators or not all(type(v) is int for v in self.generators):
-            raise InvalidParameterError(f"need integer generators, got {self.generators!r}")
+        if not self.generators:
+            raise InvalidParameterError("need at least one generator")
+        for v in self.generators:
+            check_count(v, "a generator")
         normalized = tuple(sorted(set(self.generators)))
-        if normalized[0] < 1:
-            raise InvalidParameterError("generators must be >= 1")
         if normalized[-1] > MAX_GENERATOR:
             raise ResourceLimitError(f"generators are capped at {MAX_GENERATOR}")
         object.__setattr__(self, "generators", normalized)
@@ -95,6 +95,5 @@ def realizable_length_bound(cycle_lengths: GeneratorSet, diameter: int) -> int:
     ``M`` the chain diameter: any target length above M + N splits into a
     loop at the point (length >= N) plus a connecting chain (length <= M).
     """
-    if type(diameter) is not int or diameter < 1:
-        raise InvalidParameterError(f"diameter must be an integer >= 1, got {diameter!r}")
+    check_count(diameter, "diameter")
     return frobenius_bound(cycle_lengths) + diameter

@@ -35,6 +35,7 @@ from .errors import (
     DiscretizationTooCoarseError,
     InvalidParameterError,
     OutOfRangeError,
+    check_count,
 )
 from .systems import SystemSpec, grid_permutation, identity_system
 from .uniform import (
@@ -172,8 +173,7 @@ def generate_pseudo_orbit(
     for a ``start``, ``target`` or ``allowed`` index that is not a grid
     index (or a ``start`` outside ``allowed``).
     """
-    if length < 1:
-        raise InvalidParameterError("length must be >= 1")
+    check_count(length, "length")
     if mode not in (MODE_UNIFORM, MODE_DRIFT):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     space = system.space
@@ -339,8 +339,7 @@ def estimate_shadowing_modulus(
     returned as the counterexample.  The result is sampled evidence, not a
     proof.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    check_count(trials, "trials")
     pool = sorted(allowed) if allowed is not None else None
     levels = candidate_levels(basis)
     scanned = []
@@ -383,8 +382,7 @@ def iterate_shadowing_check(
     At the infinite level the outcomes agree exactly; at finite scale a
     disagreement is flagged for inspection, not raised.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    check_count(n, "n")
     base = estimate_shadowing_modulus(system, e, basis, trials, length, seed)
     powered = estimate_shadowing_modulus(
         replace(system, power=n * system.power), e, basis, trials, length, seed
@@ -452,8 +450,7 @@ def _record_int(text: str) -> int:
 
 def _record_index(text: str) -> int:
     index = _record_int(text)
-    if index < 0:
-        raise InvalidParameterError(f"pseudo-orbit record has a negative index {text!r}")
+    check_count(index, "a pseudo-orbit record index", 0)
     return index
 
 

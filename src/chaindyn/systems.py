@@ -35,6 +35,7 @@ from .errors import (
     MalformedSpecError,
     ResourceLimitError,
     ValidationError,
+    check_count,
 )
 from .uniform import (
     MAX_ORBIT_CELLS,
@@ -85,8 +86,7 @@ class SystemSpec:
     power: int = 1
 
     def __post_init__(self) -> None:
-        if self.power < 1:
-            raise InvalidParameterError("power must be >= 1")
+        check_count(self.power, "power")
         kind = self.kind
         if kind in _REQUIRED_GEOMETRY and self.space.geometry != _REQUIRED_GEOMETRY[kind]:
             raise ValidationError(
@@ -112,8 +112,7 @@ class SystemSpec:
         elif kind == MapKind.ODOMETER:
             if self.space.geometry != Geometry.DISCRETE:
                 raise ValidationError("odometer requires discrete geometry")
-            if self.levels is None or self.levels < 1:
-                raise ValidationError("levels must be >= 1")
+            check_count(self.levels, "levels")
             if self.space.n != 2 ** self.levels:
                 raise ValidationError("odometer space must have 2^levels points")
             if self.permutation is None:
@@ -199,8 +198,7 @@ def step(system: SystemSpec, coords: Sequence[float]) -> tuple[float, ...]:
 
 def iterate(system: SystemSpec, coords: Sequence[float], n: int) -> tuple[float, ...]:
     """n-fold exact image under f^power (n >= 0): n * power applications of f."""
-    if n < 0:
-        raise InvalidParameterError("iterations must be >= 0")
+    check_count(n, "iterations", 0)
     if system.permutation is not None and n > 0:
         idx = system.space.nearest_index(coords)
         for _ in range(n * system.power):
@@ -271,7 +269,7 @@ def permutation_system(
     cycles: Sequence[Sequence[int]], n: int, name: str = "permutation"
 ) -> SystemSpec:
     """Permutation given in cycle notation over a discrete n-point space."""
-    perm = list(range(n))
+    space, perm = discrete_grid(n), list(range(n))
     seen: set[int] = set()
     for cycle in cycles:
         for i in cycle:
@@ -282,7 +280,7 @@ def permutation_system(
             seen.add(i)
         for a, b in zip(cycle, [*cycle[1:], *cycle[:1]]):
             perm[a] = b
-    return SystemSpec(name, MapKind.PERMUTATION, discrete_grid(n), (), tuple(perm))
+    return SystemSpec(name, MapKind.PERMUTATION, space, (), tuple(perm))
 
 
 def odometer_system(levels: int, name: str | None = None) -> SystemSpec:
@@ -293,8 +291,7 @@ def odometer_system(levels: int, name: str | None = None) -> SystemSpec:
     to all-zeros.  Canonical equicontinuous system on a totally
     disconnected finite model.
     """
-    if levels < 1:
-        raise InvalidParameterError("levels must be >= 1")
+    check_count(levels, "levels")
     if levels >= MAX_POINTS.bit_length():  # 2**levels > MAX_POINTS, not computed
         raise ResourceLimitError(f"2^{levels} points exceed the cap of {MAX_POINTS}")
     n = 2 ** levels
@@ -319,7 +316,8 @@ def cantor_space(levels: int) -> FinitePhaseSpace:
     recorded gap threshold is ``3^-levels``: any entourage with scale below
     it is diagonal-only.
     """
-    if not 1 <= levels <= 12:
+    check_count(levels, "levels")
+    if levels > 12:
         raise InvalidParameterError("levels must be between 1 and 12")
     coords = [0.0]
     for i in range(1, levels + 1):

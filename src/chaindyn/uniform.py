@@ -17,11 +17,11 @@ Design notes baked into this module:
 * A relation is stored in one of two ways.  An explicit relation keeps one
   index set per row, which makes composition and cross sections plain set
   operations.  A metric entourage on a space with sorted 1-D coordinates
-  keeps one index run ``(lo, hi)`` per row instead, since a ball there is a
+  reads one index run ``(lo, hi)`` per row instead, since a ball there is a
   run of consecutive indices: ``0 <= lo < n`` and ``lo <= hi <= lo + n - 1``,
-  and ``hi >= n`` means the run wraps past n - 1 to 0 on the circle.  Its
-  index sets are built only for callers that ask for them.  On a uniform grid
-  (``_half_width``) a level is one comprehension and the axiom check O(1), else O(n).
+  and ``hi >= n`` means the run wraps past n - 1 to 0 on the circle.  Both are
+  derived from the space and scale on first use.  On a uniform grid the axiom
+  check reads the half-width k alone (``_half_width``), in O(1), else the runs.
 * Circle distance is ``min(|a-b|, 1-|a-b|)`` per coordinate and product
   geometries take the coordinate-wise max, so an ``eps``-relation composed
   with itself stays inside the ``2*eps``-relation.
@@ -49,6 +49,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
     ResourceLimitError,
+    check_count,
 )
 
 #: Absolute slack on closed distance comparisons (see module docstring).
@@ -301,15 +302,14 @@ def _arc_subset(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:
 
 def _check_grid_size(n: int) -> None:
     """Reject a grid size that is not an int >= 1, or past the cap, before any point is built."""
-    if type(n) is not int or n < 1:
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    check_count(n, "n")
     if n > MAX_POINTS:
         raise ResourceLimitError(f"{n} points exceed the cap of {MAX_POINTS}")
 
 
 def _check_epsilon(epsilon: float) -> None:
-    """Reject an entourage scale that is not positive and finite (NaN included)."""
-    if not 0 < epsilon < math.inf:
+    """Reject an entourage scale that is not positive and finite (NaN and None included)."""
+    if epsilon is None or not 0 < epsilon < math.inf:
         raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
@@ -348,23 +348,22 @@ def discrete_grid(n: int) -> FinitePhaseSpace:
 class Entourage:
     """A relation on point indices; ``rows[i]`` holds every ``j`` with ``(i, j)`` in it.
 
-    It is stored in one of two ways.  Explicitly listed relations keep the
-    index sets ``rows`` themselves and are used by literal pair membership.
-    A metric entourage on a sorted space keeps the run of each ball, as
-    ``arc_within`` returns it, in ``arcs`` and builds ``rows`` only when a
-    caller asks for them; the relation queries below read the runs when
-    every entourage involved has them.  A metric entourage records the
-    ``scale`` (the epsilon that generated it); explicit relations keep
-    ``scale=None``, unless a caller attaches one to explicit rows.  Only the builders
-    set ``half_width``: k of "index distance <= k" on a uniform grid or sorted diagonal.
+    An explicit relation keeps its index sets in ``_rows`` (a caller may
+    attach a ``scale``).  A metric entourage {(x, y) : dist(x, y) <= scale}
+    has ``_rows=None`` and derives the rest on first use: ``arcs``, each
+    ball's run on a sorted space (see ``arc_within``), and ``half_width``,
+    k of "index distance <= k" on a uniform grid and 0 at scale 0.  The
+    relation queries read k, else the runs, when every entourage involved has them.
     """
 
     space: FinitePhaseSpace
     _rows: tuple[frozenset[int], ...] | None
     label: str
     scale: float | None = None
-    arcs: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
-    half_width: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self._rows is None and self.scale != 0:
+            _check_epsilon(self.scale)
 
     @classmethod
     def from_pairs(
@@ -395,10 +394,33 @@ class Entourage:
         return cls(space, tuple(frozenset(r) for r in rows), label, scale)
 
     @cached_property
+    def half_width(self) -> int | None:
+        if self._rows is not None or self.space._sorted is None:
+            return None
+        return 0 if self.scale == 0 else _half_width(self.space, self.scale + COMPARISON_SLACK)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...] | None:
+        space = self.space
+        if self._rows is not None or space._sorted is None:
+            return None
+        k, n = self.half_width, space.n
+        if k is None:
+            return tuple(space.arc_within(p, self.scale) for p in space.points)
+        if not space._wraps:  # run i is (max(0, i - k), min(n - 1, i + k))
+            return tuple(zip([*[0] * k, *range(n - k)], [*range(k, n), *[n - 1] * k]))
+        if self.scale + COMPARISON_SLACK >= 0.5:
+            return ((0, n - 1),) * n
+        # run i is ((i - k) % n, (i - k) % n + 2k)
+        return tuple((lo, lo + 2 * k) for lo in [*range(n - k, n), *range(n - k)])
+
+    @cached_property
     def rows(self) -> tuple[frozenset[int], ...]:
         if self._rows is not None:
             return self._rows
-        n = self.n
+        space, n = self.space, self.n
+        if self.arcs is None:
+            return tuple(frozenset(space.indices_within(p, self.scale)) for p in space.points)
         return tuple(frozenset(arc_indices(arc, n)) for arc in self.arcs)
 
     def __eq__(self, other: object) -> bool:
@@ -406,9 +428,7 @@ class Entourage:
             return NotImplemented
         if (self.label, self.scale, self.space) != (other.label, other.scale, other.space):
             return False
-        if self.arcs is not None and other.arcs is not None:
-            return self.arcs == other.arcs
-        return self.rows == other.rows
+        return (self._rows is None and other._rows is None) or self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash((self.label, self.scale, self.n))
@@ -436,9 +456,11 @@ class Entourage:
         return sum(len(row) for row in self.rows)
 
     def has_diagonal(self) -> bool:
+        if self.half_width is not None:
+            return True
         if self.arcs is not None:
-            n, k = self.n, self.half_width
-            return k is not None or all(arc_contains(arc, i, n) for i, arc in enumerate(self.arcs))
+            n = self.n
+            return all(arc_contains(arc, i, n) for i, arc in enumerate(self.arcs))
         return all(i in row for i, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
@@ -458,11 +480,14 @@ class Entourage:
         return all(x in self.rows[y] for x, row in enumerate(self.rows) for y in row)
 
     def is_diagonal_only(self) -> bool:
-        if self.arcs is not None:  # a run of half-width k > 0 fails at index 0
-            return self.half_width == 0 or all(arc == (i, i) for i, arc in enumerate(self.arcs))
+        if self.half_width is not None:  # a run of half-width k > 0 fails at index 0
+            return self.half_width == 0
+        if self.arcs is not None:
+            return all(arc == (i, i) for i, arc in enumerate(self.arcs))
         return all(row == frozenset((i,)) for i, row in enumerate(self.rows))
 
     def is_subset(self, other: "Entourage") -> bool:
+        self.space.check_same(other.space, "other entourage")
         if self.half_width is not None and other.half_width is not None:
             return self.half_width <= other.half_width  # a full other has the largest k
         if self.arcs is not None and other.arcs is not None:
@@ -480,6 +505,7 @@ class Entourage:
         the test is self[z] inside other[x] for every such z; either way it
         stops at the first miss.  With half-widths the composite is 2k wide.
         """
+        self.space.check_same(other.space, "other entourage")
         k, big_k = self.half_width, other.half_width
         if k is not None and big_k is not None:  # other holds 2k or is full
             return 2 * k <= big_k or big_k >= _half_width(self.space, 1.0)
@@ -522,27 +548,12 @@ class Entourage:
 
 
 def make_epsilon_entourage(space: FinitePhaseSpace, epsilon: float) -> Entourage:
-    """The metric entourage {(x, y) : dist(x, y) <= epsilon}.
+    """The metric entourage {(x, y) : dist(x, y) <= epsilon}; see :class:`Entourage`.
 
-    Reflexive and symmetric by construction; one index run per row on a
-    sorted space.  Raises :class:`InvalidParameterError` unless
-    ``0 < epsilon < inf`` (so also for NaN).
+    Raises :class:`InvalidParameterError` unless ``0 < epsilon < inf`` (so also for NaN).
     """
     _check_epsilon(epsilon)
-    label, scale = f"eps={epsilon:g}", float(epsilon)
-    if space._sorted is not None:
-        k, n = _half_width(space, bound := epsilon + COMPARISON_SLACK), space.n
-        if k is None:
-            arcs = tuple(space.arc_within(p, epsilon) for p in space.points)
-        elif not space._wraps:  # run i is (max(0, i - k), min(n - 1, i + k))
-            arcs = tuple(zip([*[0] * k, *range(n - k)], [*range(k, n), *[n - 1] * k]))
-        elif bound >= 0.5:
-            arcs = ((0, n - 1),) * n
-        else:  # run i is ((i - k) % n, (i - k) % n + 2k)
-            arcs = tuple((lo, lo + 2 * k) for lo in [*range(n - k, n), *range(n - k)])
-        return _derived(Entourage(space, None, label, scale, arcs), "half_width", k)
-    rows = tuple(frozenset(space.indices_within(p, epsilon)) for p in space.points)
-    return Entourage(space, rows, label, scale)
+    return Entourage(space, None, f"eps={epsilon:g}", float(epsilon))
 
 
 def _half_width(space: FinitePhaseSpace, bound: float) -> int | None:
@@ -561,11 +572,8 @@ def _half_width(space: FinitePhaseSpace, bound: float) -> int | None:
 
 
 def diagonal_entourage(space: FinitePhaseSpace) -> Entourage:
-    """The diagonal-only relation, the uniformity floor of the finite model."""
-    if space._sorted is not None:
-        diag = Entourage(space, None, "diag", 0.0, tuple((i, i) for i in range(space.n)))
-        return _derived(diag, "half_width", 0)
-    rows = tuple(frozenset((i,)) for i in range(space.n))
+    """The diagonal-only relation, the uniformity floor: on a sorted space, the scale-0 ball."""
+    rows = None if space._sorted is not None else tuple(frozenset((i,)) for i in range(space.n))
     return Entourage(space, rows, "diag", 0.0)
 
 
@@ -588,8 +596,7 @@ def compose(e1: Entourage, e2: Entourage) -> Entourage:
 
 def power(e: Entourage, n: int) -> Entourage:
     """n-fold composition E^n; power(e, 1) is e itself."""
-    if type(n) is not int or n < 1:
-        raise InvalidParameterError(f"power requires an integer n >= 1, got {n!r}")
+    check_count(n, "n")
     if n == 1:
         return e
     result = e
@@ -638,8 +645,7 @@ class UniformityBasis:
 
 def dyadic_basis(space: FinitePhaseSpace, levels: int) -> UniformityBasis:
     """Metric basis with scales 2^0, 2^-1, ..., 2^-(levels-1) plus the diagonal floor."""
-    if type(levels) is not int or levels < 1:
-        raise InvalidParameterError(f"levels must be an integer >= 1, got {levels!r}")
+    check_count(levels, "levels")
     ents = [make_epsilon_entourage(space, 2.0 ** (-k)) for k in range(levels)]
     ents.append(diagonal_entourage(space))
     return UniformityBasis(tuple(ents))

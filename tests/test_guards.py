@@ -9,6 +9,8 @@ another size an :class:`IncompatibleSpaceError`; neither leaks a bare
 never a bare ``TypeError`` or a grid of ``True`` points.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from chaindyn import (
@@ -21,6 +23,7 @@ from chaindyn import (
     PseudoOrbit,
     UniformityBasis,
     build_transition_graph,
+    cantor_space,
     circle_grid,
     compose,
     cross_section,
@@ -38,13 +41,17 @@ from chaindyn import (
     interval_grid,
     is_totally_chain_transitive,
     isobasism_check,
+    iterate,
     iterate_shadowing_check,
     make_epsilon_entourage,
     nonwandering_points,
     omega_limit,
     omega_restriction_shadowing,
     omega_subset_of_chain_recurrent,
+    odometer_system,
+    permutation_system,
     power,
+    power_graph,
     refining_entourage,
     representable,
     return_times,
@@ -98,6 +105,8 @@ INDEX_TAKERS = {
 }
 
 SPACE_TAKERS = {
+    "Entourage.is_subset": lambda: D.is_subset(D_OTHER),
+    "Entourage.square_is_subset": lambda: D.square_is_subset(D_OTHER),
     "compose": lambda: compose(D, D_OTHER),
     "UniformityBasis": lambda: UniformityBasis((D, D_OTHER)),
     "build_transition_graph": lambda: build_transition_graph(SYSTEM, D_OTHER),
@@ -131,6 +140,23 @@ NON_INTEGER_TAKERS = {
     "discrete_grid": discrete_grid,
     "dyadic_basis": lambda v: dyadic_basis(SPACE, v),
     "power": lambda v: power(D, v),
+    "graph_from_edges": lambda v: graph_from_edges(v, []),
+    "power_graph": lambda v: power_graph(GRAPH, v),
+    "is_totally_chain_transitive": lambda v: is_totally_chain_transitive(SYSTEM, D, v),
+    "nonwandering_points": lambda v: nonwandering_points(SYSTEM, D, v),
+    "return_times": lambda v: return_times(SYSTEM, [0], [1], v),
+    "weak_mixing_witness": lambda v: weak_mixing_witness(SYSTEM, [0], [1], v),
+    "omega_limit-transient": lambda v: omega_limit(SYSTEM, 0, v, 20),
+    "omega_limit-horizon": lambda v: omega_limit(SYSTEM, 0, 1, v),
+    "estimate_shadowing_modulus": lambda v: estimate_shadowing_modulus(SYSTEM, D, BASIS, v, 5, 0),
+    "generate_pseudo_orbit": lambda v: generate_pseudo_orbit(SYSTEM, D, v, 0),
+    "iterate_shadowing_check": lambda v: iterate_shadowing_check(SYSTEM, D, BASIS, v, 1, 0),
+    "SystemSpec-power": lambda v: replace(SYSTEM, power=v),
+    "iterate": lambda v: iterate(SYSTEM, (0.0,), v),
+    "evaluate": lambda v: evaluate(SYSTEM, 0, v),
+    "cantor_space": cantor_space,
+    "odometer_system": odometer_system,
+    "permutation_system": lambda v: permutation_system([], v),
 }
 
 

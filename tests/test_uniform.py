@@ -371,8 +371,13 @@ def scanned_runs(space, epsilon):
 
 
 def without_half_width(e):
-    """The same relation with no half-width, so every query reads the runs or rows."""
-    return Entourage(e.space, e._rows, e.label, e.scale, e.arcs)
+    """The same relation over an unmarked copy of the space, so queries read the runs or rows.
+
+    The diagonal keeps half-width 0 there, as on every sorted space.
+    """
+    sp = e.space
+    copy = FinitePhaseSpace(sp.points, sp.geometry, sp.resolution, sp.gap)
+    return Entourage(copy, e._rows, e.label, e.scale)
 
 
 GRID_DELTAS = (0.0, COMPARISON_SLACK / 2, COMPARISON_SLACK, 2 * COMPARISON_SLACK)
@@ -457,6 +462,11 @@ class TestUniformGridRuns:
         assert e.half_width is None and not e.is_symmetric()
         assert not e.is_subset(make_epsilon_entourage(space, 0.01))
 
+    @pytest.mark.parametrize("scale", [None, -1.0, math.nan, math.inf])
+    def test_metric_entourage_needs_a_scale_in_range(self, scale):
+        with pytest.raises(InvalidParameterError):
+            Entourage(circle_grid(8), None, "x", scale)
+
     @staticmethod
     def count_scans(monkeypatch):
         """Count the per-point bisections and the staircase builds."""
@@ -477,8 +487,10 @@ class TestUniformGridRuns:
                              ids=["circle-1024", "interval-1025"])
     def test_uniform_grid_basis_and_axioms_scan_no_point(self, monkeypatch, space):
         calls = self.count_scans(monkeypatch)
-        assert verify_uniformity_axioms(dyadic_basis(space, 8)).all_ok
+        basis = dyadic_basis(space, 8)
+        assert verify_uniformity_axioms(basis).all_ok
         assert calls == {"arc_within": 0, "_ends": 0}
+        assert not any("arcs" in vars(level) for level in basis.levels)  # no run was built
 
     def test_points_list_basis_and_axioms_scan_each_point(self, monkeypatch):
         # the circle grid's own coordinates, given as a list: not marked uniform

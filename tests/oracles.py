@@ -365,6 +365,38 @@ def shadow_bruteforce(orbit, e, system, candidates=None):
     return ShadowReport(False, None, T, e.label, latest, best)
 
 
+def modulus_scan_bruteforce(system, e, basis, trials, length, seed, allowed=None):
+    """The shadowing-modulus scan as a plain level loop.
+
+    Per candidate level the drift orbit, then each uniform orbit, comes from
+    :func:`pseudo_orbit_bruteforce`, which draws at every step, and each is
+    searched with :func:`shadow_bruteforce`: no orbit is skipped or reused.
+    A dead end skips the level; the first level whose orbits all shadow is
+    the modulus, else the last failing orbit is the counterexample.
+    """
+    from chaindyn.shadowing import PseudoOrbit, ShadowingModulusReport, candidate_levels
+
+    pool = sorted(allowed) if allowed is not None else None
+    runs = [("adversarial-drift", seed)]
+    runs += [("uniform", seed * 1_000_003 + t) for t in range(trials)]
+    scanned, failure, failure_mode = [], None, None
+    for lvl in candidate_levels(basis):
+        scanned.append(lvl.label)
+        for mode, orbit_seed in runs:
+            states = pseudo_orbit_bruteforce(
+                system, lvl, length, orbit_seed, mode, allowed=pool)
+            if isinstance(states, int):  # a dead end at that step
+                break
+            orbit = PseudoOrbit(states, lvl.label, orbit_seed, states[1:])
+            if not shadow_bruteforce(orbit, e, system, pool).shadowed:
+                failure, failure_mode = orbit, mode
+                break
+        else:
+            return ShadowingModulusReport(True, lvl, None, None, tuple(scanned), trials, length)
+    return ShadowingModulusReport(
+        False, None, failure, failure_mode, tuple(scanned), trials, length)
+
+
 #: Lipschitz bounds of the catalog's interval and circle maps (tent slopes
 #: are capped at 2).
 LIPSCHITZ = {"identity": 1.0, "rotation": 1.0, "doubling": 2.0, "tent": 2.0, "square": 2.0}

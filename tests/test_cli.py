@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import threading
@@ -10,6 +11,8 @@ from chaindyn import cli
 from chaindyn.uniform import MAX_POINTS
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+#: SHA-256 of the machine report of each listed request, recorded once.
+DIGESTS = json.loads((Path(__file__).resolve().parent / "golden" / "digests.json").read_text())
 
 
 def write_spec(tmp_path, text, name="system.yaml"):
@@ -298,6 +301,25 @@ class TestMoreCommands:
             Path(__file__).resolve().parent / "golden" / "full_doubling64_seed7.json"
         )
         assert out == golden.read_text()
+
+    @pytest.mark.parametrize(
+        "request_",
+        DIGESTS["requests"],
+        ids=[" ".join([r["spec"], *r["argv"]]) for r in DIGESTS["requests"]],
+    )
+    def test_report_digest(self, request_, tmp_path):
+        # reports past the benchmark's sizes: forced cycles longer than the
+        # horizon, and Cantor levels below the gap
+        spec = request_["spec"]
+        if spec in DIGESTS["specs"]:
+            spec = write_spec(tmp_path, DIGESTS["specs"][spec])
+        else:
+            spec = str(SPECS.parent / spec)
+        command, *flags = request_["argv"]
+        out = tmp_path / "report.json"
+        argv = [command, "--spec", spec, *flags, "--format", "machine", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == request_["sha256"]
 
 
 class TestErrorsAndDefaults:

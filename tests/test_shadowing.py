@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -42,7 +43,12 @@ from chaindyn.chaingraph import image_successors
 from chaindyn.shadowing import candidate_levels, entourage_holds
 from chaindyn.systems import MapKind, SystemSpec
 from chaindyn.uniform import FinitePhaseSpace, Geometry
-from oracles import pseudo_orbit_bruteforce, shadow_bruteforce, sorted_list_space
+from oracles import (
+    modulus_scan_bruteforce,
+    pseudo_orbit_bruteforce,
+    shadow_bruteforce,
+    sorted_list_space,
+)
 
 CATALOG = {n: catalog_systems(n) for n in (8, 16)}
 
@@ -87,6 +93,51 @@ def orbit_systems(draw):
             SystemSpec("doubling-list", MapKind.DOUBLING, space),
         )))
     return replace(system, power=draw(st.integers(1, 3)))
+
+
+@st.composite
+def scan_systems(draw):
+    """An orbit system, an odometer, a permutation, or the identity on a Cantor set or a list."""
+    kind = draw(st.sampled_from(("orbit", "odometer", "permutation", "cantor", "list")))
+    if kind == "orbit":
+        return draw(orbit_systems())
+    if kind == "odometer":
+        return odometer_system(draw(st.integers(2, 6)))
+    if kind == "permutation":
+        n = draw(st.integers(2, 12))
+        perm = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        return permutation_system([perm[a:b] for a, b in zip([0, *cuts], [*cuts, n])], n)
+    if kind == "cantor":
+        return identity_system(cantor_space(draw(st.integers(1, 5))))
+    ks = draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=12))
+    return identity_system(sorted_list_space([k / 10**6 for k in ks], Geometry.DISCRETE))
+
+
+def counting_draws(monkeypatch) -> list[int]:
+    """Count every ``random.Random.randrange`` call in one list entry each."""
+    calls, randrange = [], random.Random.randrange
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return randrange(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "randrange", counted)
+    return calls
+
+
+def recording_searches(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the states of every orbit that the modulus scan hands to ``find_shadow_point``."""
+    import chaindyn.shadowing as shadowing
+
+    searched, search = [], shadowing.find_shadow_point
+
+    def recorded(orbit, *args, **kwargs):
+        searched.append(orbit.states)
+        return search(orbit, *args, **kwargs)
+
+    monkeypatch.setattr(shadowing, "find_shadow_point", recorded)
+    return searched
 
 
 class TestGeneration:
@@ -242,6 +293,54 @@ class TestGeneration:
         off_grid = {x for x in orbit.states[:-1] if images[x][3] is None}
         assert off_grid
         assert len(calls) == len(off_grid) <= len(set(orbit.states))
+
+    @pytest.mark.parametrize(
+        "system, cycle",
+        [(odometer_system(6), 64), (identity_system(cantor_space(4)), 1)],
+        ids=["odometer-6", "cantor-4-identity"],
+    )
+    def test_forced_levels_match_a_draw_at_every_step(self, monkeypatch, system, cycle):
+        # below the gap every ball is one point, so each step is forced: the
+        # orbit draws its start and no more, and equals the oracle's, which
+        # draws at every step
+        d = dyadic_basis(system.space, 8).by_label(f"eps={2.0 ** -7:g}")
+        assert d.scale < system.space.gap and d.is_diagonal_only()
+        draws = counting_draws(monkeypatch)
+        for length in sorted({1, cycle - 1, cycle, cycle + 1, 100, 300} - {0}):
+            for seed in range(4):
+                expected = pseudo_orbit_bruteforce(system, d, length, seed, "uniform")
+                del draws[:]
+                assert generate_pseudo_orbit(system, d, length, seed).states == expected
+                assert len(draws) == 1, (length, seed)
+                again = generate_pseudo_orbit(system, d, length, seed, start=expected[0])
+                assert again.states == expected and len(draws) == 1
+
+    @pytest.mark.parametrize("case", ["rows", "runs"])
+    def test_a_choice_stops_the_look_ahead(self, monkeypatch, case):
+        # one state's successors hold two indices, the rest one: the walk
+        # draws up to its last choice and matches the oracle at every length
+        if case == "rows":  # the odometer's 8-cycle; rows 0 and 1 hold {0, 1}
+            s = odometer_system(3)
+            d = Entourage.from_pairs(s.space, [(0, 1)], "pair-0-1")
+        else:  # identity on a list: only the ball at 0.1 holds two points
+            s = identity_system(sorted_list_space([0.0, 0.1, 0.15, 0.5, 0.9], Geometry.DISCRETE))
+            d = make_epsilon_entourage(s.space, 0.06)
+            assert d.arcs is not None
+        images = s.grid_images
+        choice = {x for x in range(s.space.n) if len(d.row(images[x][1])) == 2}
+        assert choice and len(choice) < s.space.n
+        draws = counting_draws(monkeypatch)
+        chosen = set()
+        for length in (1, 2, 5, 7, 8, 9, 30):
+            for seed in range(8):
+                expected = pseudo_orbit_bruteforce(s, d, length, seed, "uniform")
+                del draws[:]
+                states = generate_pseudo_orbit(s, d, length, seed).states
+                assert states == expected
+                steps = [i for i, x in enumerate(states[:-1]) if x in choice]
+                assert len(draws) >= 1 + len(steps)
+                chosen.update((states[i], states[i + 1]) for i in steps)
+        assert len(chosen) > len({x for x, _ in chosen})  # some choice went both ways
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -515,6 +614,76 @@ class TestModulusEstimate:
         for sp in (interval_grid(11), cantor_space(2)):
             for lvl in candidate_levels(dyadic_basis(sp, 6)):
                 assert not (lvl.scale == 0.0)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scan_matches_the_plain_level_loop(self, data):
+        # every field of the report, with and without an allowed set, for a
+        # metric and for an explicit E, reflexive or not
+        system = data.draw(scan_systems())
+        space = system.space
+        n, h = space.n, space.resolution
+        basis = dyadic_basis(space, data.draw(st.integers(2, 7)))
+        if data.draw(st.booleans()):
+            e = make_epsilon_entourage(space, data.draw(st.sampled_from((h / 2, h, 2 * h, 0.25))))
+        else:
+            index = st.integers(0, n - 1)
+            pairs = data.draw(st.lists(st.tuples(index, index)))
+            e = Entourage.from_pairs(space, pairs, "pairs", close=data.draw(st.booleans()))
+        allowed = data.draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
+        trials, length = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 10**6))
+        got = estimate_shadowing_modulus(system, e, basis, trials, length, seed, allowed=allowed)
+        expected = modulus_scan_bruteforce(system, e, basis, trials, length, seed, allowed)
+        assert got == expected
+
+    def test_forced_orbits_draw_once_and_each_distinct_orbit_is_searched_once(
+        self, monkeypatch
+    ):
+        # odometer-6 at E = 2h: the scan passes at the first level below the
+        # gap, where each uniform orbit draws only its start; an exact orbit
+        # needs no search, and a repeated one is searched once
+        import chaindyn.shadowing as shadowing
+
+        s = odometer_system(6)
+        e = make_epsilon_entourage(s.space, 2 * s.space.resolution)
+        generate = shadowing.generate_pseudo_orbit
+        draws, searched = counting_draws(monkeypatch), recording_searches(monkeypatch)
+        per_orbit, orbits = {}, []
+
+        def generated(system, d, length, seed, mode, **kwargs):
+            before = len(draws)
+            orbit = generate(system, d, length, seed, mode, **kwargs)
+            per_orbit[d.label, mode, seed] = len(draws) - before
+            orbits.append(orbit)
+            return orbit
+
+        monkeypatch.setattr(shadowing, "generate_pseudo_orbit", generated)
+        report = estimate_shadowing_modulus(
+            s, e, dyadic_basis(s.space, 8), trials=20, length=100, seed=7)
+        assert report.found and report.modulus.is_diagonal_only()
+        level = report.modulus.label
+        uniform = [k for k in per_orbit if k[:2] == (level, "uniform")]
+        assert len(uniform) == 20
+        assert all(per_orbit[k] == 1 for k in uniform)  # one draw per step would be 101
+        images = s.grid_images
+        exact = {o.states for o in orbits
+                 if all(images[x][3] == y for x, y in zip(o.states, o.states[1:]))}
+        assert exact
+        assert sorted(searched) == sorted({o.states for o in orbits} - exact)
+        assert len(searched) == 7  # one search per orbit would be 28
+
+    def test_a_repeated_orbit_is_searched_once(self, monkeypatch):
+        # on doubling-96 the drift orbit 0, 95, 95, ... is the same at all
+        # seven levels; each level's first uniform orbit then fails
+        s = doubling_system(96)
+        searched = recording_searches(monkeypatch)
+        report = estimate_shadowing_modulus(
+            s, make_epsilon_entourage(s.space, 0.1), dyadic_basis(s.space, 8),
+            trials=3, length=100, seed=7)
+        assert not report.found and len(report.levels_scanned) == 7
+        assert searched.count((0,) + (95,) * 100) == 1
+        assert len(searched) == len(set(searched)) == 8  # one search per orbit would be 14
 
 
 class TestIterateConsistency:

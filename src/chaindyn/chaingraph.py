@@ -4,22 +4,26 @@ The transition graph of a system at an entourage D has an edge x -> y
 exactly when the exact image f(x) is D-close to grid point y, so directed
 paths of length n are precisely the (D, f)-chains of length n.  On top of
 that graph this module computes chain recurrence (vertices on cycles),
-chain transitivity (strong connectivity), the component period (gcd of
-cycle lengths, via BFS level labeling), the cyclic class partition, chain
-mixing (transitive + period 1), the chain diameter, and coprime cycle
-pairs.
+chain transitivity (strong connectivity, by a forward and a backward sweep
+from vertex 0), the component period (gcd of cycle lengths, via BFS level
+labeling), the cyclic class partition, chain mixing (transitive + period
+1), the chain diameter, and coprime cycle pairs.  :class:`ChainAnalysis`
+computes components, periods and classes in one Tarjan pass; the graphs of
+f^2, ..., f^n_max behind total chain transitivity need only the sweeps.
 
-Graphs of iterated maps are built from exact n-fold images, never by
-composing the one-step graph: graph composition would compound the
-discretization error and describes a different object (chains with
-intermediate snapping).  :func:`power_graph` provides the combinatorial
-walk-power for abstract digraph work where no underlying map exists.
+Graphs of iterated maps are built from exact n-fold images, each table
+stepped once from the (n-1)-fold one, never by composing the one-step
+graph: graph composition would compound the discretization error and
+describes a different object (chains with intermediate snapping).
+:func:`power_graph` provides the combinatorial walk-power for abstract
+digraph work where no underlying map exists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from . import _parallel
@@ -30,7 +34,7 @@ from .errors import (
     UndefinedDiameterError,
     check_count,
 )
-from .systems import SystemSpec
+from .systems import ImageTable, SystemSpec
 from .uniform import Entourage, mask_indices
 
 __all__ = [
@@ -108,14 +112,20 @@ def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
     that :func:`image_successors` would build.
     """
     system.space.check_same(d.space, "entourage")
-    images = system.grid_images
+    return _graph_of_images(system, d, system.grid_images, system.power)
+
+
+def _graph_of_images(
+    system: SystemSpec, d: Entourage, images: ImageTable, power: int
+) -> TransitionGraph:
+    """The transition graph at D of f^power, given its table of grid images."""
 
     def row(x: int) -> tuple[int, ...]:
         image, _, _, w = images[x]
         return image_successors(d, image) if w is None else tuple(d.row(w))
 
     rows = _parallel.ordered_map(row, range(system.space.n))
-    label = d.label if system.power == 1 else f"{d.label}|f^{system.power}"
+    label = d.label if power == 1 else f"{d.label}|f^{power}"
     return TransitionGraph(system.space.n, tuple(rows), (system.name, label))
 
 
@@ -181,9 +191,42 @@ def is_chain_transitive(g: TransitionGraph) -> bool:
     """True iff every ordered pair is joined by a path of length >= 1.
 
     Equivalent to a single strongly connected component containing at
-    least one edge (a single vertex needs a self-loop).
+    least one edge (a single vertex needs a self-loop).  Two sweeps from
+    vertex 0 answer it: a graph is strongly connected iff vertex 0 reaches
+    every vertex and every vertex reaches vertex 0.  The forward sweep runs
+    on ``succ``; only when it reaches all n vertices are the rows
+    transposed for the backward one.
     """
-    return ChainAnalysis.from_graph(g).transitive
+    n, succ = g.n, g.succ
+    if n <= 1:
+        return n == 1 and 0 in succ[0]
+    if _reached(succ) < n:
+        return False
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, row in enumerate(succ):
+        for v in row:
+            pred[v].append(u)
+    return _reached(pred) == n
+
+
+def _reached(rows: Sequence[Sequence[int]]) -> int:
+    """How many vertices vertex 0 reaches along ``rows``, itself included.
+
+    A BFS that stops as soon as it holds every vertex, so a dense graph
+    reads only the first rows.
+    """
+    n = len(rows)
+    seen = bytearray(n)
+    seen[0] = 1
+    queue = [0]
+    for u in queue:  # grows while it is read
+        if len(queue) == n:
+            break
+        for v in rows[u]:
+            if not seen[v]:
+                seen[v] = 1
+                queue.append(v)
+    return len(queue)
 
 
 def _per_component(values: tuple, component: int):
@@ -232,19 +275,26 @@ def is_totally_chain_transitive(
     """Chain transitivity of the graphs of f, f^2, ..., f^n_max.
 
     A bounded certificate for the unbounded definition: each iterate's
-    graph is built from exact n-fold images.  On compact finite models the
+    graph is built from exact k-fold images.  On compact finite models the
     chain-mixing check certifies the full statement; both are computed and
     compared by the test suite.  ``analysis``, when given, is the chain
     analysis of the graph of f at D, which is then neither built nor
     analysed again.
+
+    The graph of f^k, k >= 2, is built once and answered by the two sweeps
+    of :func:`is_chain_transitive`: no components, periods or classes.  Its
+    images are those of f^(k-1) stepped once more
+    (:meth:`SystemSpec.image_powers`), and the first graph that fails ends
+    the walk, so f^power is applied at most n * n_max times.
     """
     system.space.check_same(d.space, "entourage")
     check_count(n_max, "n_max")
     if analysis is None:
         analysis = ChainAnalysis.from_graph(build_transition_graph(system, d))
+    powers = islice(system.image_powers(), 1, n_max)  # the tables of f^2 .. f^n_max
     return analysis.transitive and all(
-        is_chain_transitive(build_transition_graph(replace(system, power=k * system.power), d))
-        for k in range(2, n_max + 1)
+        is_chain_transitive(_graph_of_images(system, d, images, k * system.power))
+        for k, images in enumerate(powers, start=2)
     )
 
 

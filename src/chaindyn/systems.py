@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import yaml
 
@@ -67,6 +67,11 @@ _REQUIRED_GEOMETRY = {
     MapKind.TENT: Geometry.INTERVAL,
     MapKind.SQUARE: Geometry.INTERVAL,
 }
+
+
+#: One entry per grid point: the exact image, its snap index and distance, and
+#: the index again when the image is that grid point exactly, else None.
+ImageTable = tuple[tuple[tuple[float, ...], int, float, int | None], ...]
 
 
 @dataclass(frozen=True)
@@ -153,19 +158,51 @@ class SystemSpec:
         return f_power
 
     @cached_property
-    def grid_images(self) -> tuple[tuple[tuple[float, ...], int, float, int | None], ...]:
+    def grid_images(self) -> ImageTable:
         """The exact one-step image of every grid point, computed once per system.
 
-        Entry x holds the image of x under f^power, its snap index and
-        distance, and that index again when the image equals that grid point
-        exactly (tuple equality), else None.
+        Entry x is the :data:`ImageTable` entry of the image of x under
+        f^power; "exactly" is tuple equality.
         """
-        space, f, out = self.space, self.float_step, []
-        for p in space.points:
-            image = iterate(self, p, 1) if f is None else (f(p[0]),)
+        points, f = self.space.points, self.float_step
+        return self._image_entries(
+            iterate(self, p, 1) if f is None else (f(p[0]),) for p in points)
+
+    def _image_entries(self, images: Iterable[tuple[float, ...]]) -> ImageTable:
+        """The :attr:`grid_images` entries of the given exact images, one per grid point."""
+        space, out = self.space, []
+        for image in images:
             idx, dist = space.snap(image)
             out.append((image, idx, dist, idx if image == space.points[idx] else None))
         return tuple(out)
+
+    def image_powers(self) -> Iterator[ImageTable]:
+        """The grid images of f^power, f^(2 power), f^(3 power), ..., without end.
+
+        The first table is :attr:`grid_images`; each later one applies f^power
+        once more to the table before it, so the k-th table equals
+        ``replace(self, power=k * self.power).grid_images`` entry for entry.
+        A float map steps each image with ``float_step``, which applies f in
+        the same sequence; a permutation-backed map steps each index with the
+        permutation raised to ``power``, from the grid point's nearest index
+        as :func:`iterate` starts; a many-dimensional identity repeats the
+        table.
+        """
+        entries = self.grid_images
+        yield entries
+        points, f, perm = self.space.points, self.float_step, self.permutation
+        if perm is not None:
+            step = perm
+            for _ in range(self.power - 1):
+                step = tuple(perm[i] for i in step)
+            at = [step[self.space.nearest_index(p)] for p in points]
+        while True:
+            if perm is not None:
+                at = [step[i] for i in at]
+                entries = self._image_entries(points[i] for i in at)
+            elif f is not None:
+                entries = self._image_entries((f(e[0][0]),) for e in entries)
+            yield entries
 
     def orbit_step(
         self, coords: tuple[float, ...], at: int | None

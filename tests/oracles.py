@@ -307,6 +307,25 @@ def random_strongly_connected(rng: random.Random, n_max: int = 12) -> Transition
     return graph_from_edges(n, edges)
 
 
+def totally_chain_transitive_bruteforce(system, d, n_max: int) -> bool:
+    """Chain transitivity of the graphs of f, ..., f^n_max, each rebuilt from scratch.
+
+    Every graph comes from the system of f^(k * power), whose images are
+    computed from the grid points anew, and is analysed by a full
+    :class:`ChainAnalysis` (Tarjan, periods, classes).
+    """
+    from dataclasses import replace
+
+    from chaindyn import ChainAnalysis, build_transition_graph
+
+    return all(
+        ChainAnalysis.from_graph(
+            build_transition_graph(replace(system, power=k * system.power), d)
+        ).transitive
+        for k in range(1, n_max + 1)
+    )
+
+
 def path_is_chain(system, d, states) -> bool:
     """Definition unrolling: (f(x_i), x_{i+1}) in D for every step."""
     from chaindyn.shadowing import entourage_holds

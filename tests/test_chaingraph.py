@@ -3,11 +3,12 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaindyn import (
     ChainAnalysis,
+    Entourage,
     GOLDEN_ALPHA,
     NoCoprimeCyclesError,
     NoCycleError,
@@ -28,7 +29,10 @@ from chaindyn import (
     is_chain_mixing,
     is_chain_transitive,
     is_totally_chain_transitive,
+    load_system,
     make_epsilon_entourage,
+    odometer_system,
+    permutation_system,
     power_graph,
     rotation_system,
     square_system,
@@ -41,6 +45,7 @@ from oracles import (
     loop_lengths_bruteforce,
     path_is_chain,
     random_strongly_connected,
+    totally_chain_transitive_bruteforce,
     walk_length_dp,
 )
 
@@ -294,6 +299,129 @@ class TestTotallyChainTransitive:
         e = make_epsilon_entourage(s.space, 0.2)
         with pytest.raises(InvalidParameterError):
             is_totally_chain_transitive(s, e, 0)
+
+
+@given(
+    st.integers(min_value=0, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                    max_size=3 * n),
+            st.sampled_from(("random", "rooted", "sink")),
+            st.permutations(range(n)),
+        )
+    )
+)
+@example((0, set(), "random", []))
+@example((1, set(), "random", [0]))
+@example((1, {(0, 0)}, "random", [0]))
+@example((3, {(0, 1), (1, 2)}, "random", [0, 1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_two_sweeps_match_networkx_and_the_analysis(case):
+    # "rooted" adds a path from vertex 0 through every vertex, so the forward
+    # sweep reaches all of them; "sink" then clears the out-edges of the
+    # path's last vertex (a self-loop may stay), which can no longer reach 0,
+    # so only the backward sweep fails.  Empty rows come with few edges.
+    nx = pytest.importorskip("networkx")
+    n, edges, kind, order = case
+    path = [0, *(v for v in order if v != 0)] if n else []
+    if kind != "random":
+        edges = {*edges, *zip(path, path[1:])}
+    if kind == "sink" and n >= 2:
+        edges = {(u, v) for u, v in edges if u != path[-1] or v == u}
+    g = graph_from_edges(n, edges)
+    G = nx.DiGraph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    expected = n > 0 and nx.is_strongly_connected(G) and (n > 1 or G.has_edge(0, 0))
+    assert is_chain_transitive(g) == expected == ChainAnalysis.from_graph(g).transitive
+    if kind == "sink" and n >= 2:
+        assert chaingraph._reached(g.succ) == n and not expected
+
+
+@st.composite
+def points_systems(draw):
+    """A system on a ``points:`` list, loaded as a spec file's document would be.
+
+    Interval and circle lists have neighbour gaps of one or two units, so
+    neighbours lie within 2h, in ascending or descending order (an unsorted
+    space); discrete lists may repeat a point; product-of-circles lists are
+    two-dimensional and carry the identity.
+    """
+    geometry = draw(st.sampled_from(("interval", "circle", "discrete", "product-of-circles")))
+    n = draw(st.integers(1, 24))
+    doc = {"name": "points", "geometry": geometry, "map": "identity"}
+    if geometry == "product-of-circles":
+        cell = st.integers(0, 7).map(lambda k: k / 8)
+        points = draw(st.lists(st.lists(cell, min_size=2, max_size=2), min_size=n, max_size=n))
+    elif geometry == "discrete":
+        coord = st.floats(0.0, 1.0) | st.integers(0, 8).map(lambda k: k / 8)
+        points = draw(st.lists(coord, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            order = draw(st.permutations(range(n)))
+            cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
+            bounds = [0, *(c for c in cuts if c < n), n]
+            doc.update(map="permutation",
+                       cycles=[order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b])
+    else:
+        gaps = draw(st.lists(st.sampled_from((1, 2)), min_size=n - 1, max_size=n - 1))
+        ticks = [sum(gaps[:i]) for i in range(n)]
+        points = [t / (ticks[-1] + 1) for t in ticks]  # the circle's wrap gap is one unit
+        if draw(st.booleans()):
+            points.reverse()
+        maps = ("identity", "tent", "square") if geometry == "interval" else (
+            "identity", "rotation", "doubling")
+        doc["map"] = draw(st.sampled_from(maps))
+        if doc["map"] == "tent":
+            doc["params"] = [draw(st.floats(0.05, 2.0))]
+        elif doc["map"] == "rotation":
+            doc["params"] = [draw(st.floats(0.01, 0.99))]
+    doc["points"] = points
+    return load_system("points", doc)
+
+
+@st.composite
+def power_systems(draw):
+    """Catalog maps at n <= 64, permutations, odometers to 5 levels and points lists, at power 1..3."""
+    kind = draw(st.sampled_from(("catalog", "permutation", "odometer", "points")))
+    if kind == "catalog":
+        system = draw(st.sampled_from(catalog_systems(draw(st.integers(2, 64)))))
+    elif kind == "permutation":
+        n = draw(st.integers(1, 32))
+        order = draw(st.permutations(range(n)))
+        cut = draw(st.integers(1, n))
+        system = permutation_system([order[:cut], order[cut:]], n)
+    elif kind == "odometer":
+        system = odometer_system(draw(st.integers(1, 5)))
+    else:
+        system = draw(points_systems())
+    return replace(system, power=draw(st.integers(1, 3)))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_total_transitivity_matches_graphs_rebuilt_from_scratch(data):
+    # stepped k-fold images and the two sweeps against rebuilding every
+    # graph of f^k from its grid points and running the full analysis
+    system = data.draw(power_systems())
+    space = system.space
+    if data.draw(st.booleans()):
+        h = space.resolution
+        low = min(h / 2, 0.5)
+        scale = data.draw(st.sampled_from((low, h, 2 * h)).filter(lambda r: r <= 0.5)
+                          | st.floats(low, 0.5))
+        d = make_epsilon_entourage(space, scale)
+    else:
+        index = st.integers(0, space.n - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=3 * space.n))
+        d = Entourage.from_pairs(space, pairs, "pairs", close=data.draw(st.booleans()))
+    n_max = data.draw(st.integers(1, 6))
+    expected = totally_chain_transitive_bruteforce(system, d, n_max)
+    assert is_totally_chain_transitive(system, d, n_max) == expected
+    analysis = ChainAnalysis.from_graph(build_transition_graph(system, d))
+    assert is_totally_chain_transitive(system, d, n_max, analysis=analysis) == expected
+    for k, images in zip(range(1, n_max + 1), system.image_powers()):
+        assert images == replace(system, power=k * system.power).grid_images, k
 
 
 class TestDiameter:

@@ -3,6 +3,7 @@ import json
 import math
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -522,34 +523,34 @@ class TestOncePerRequest:
         assert len(dump.read_text().splitlines()) == edges
 
     def test_mixing_builds_n_max_graphs(self, rotation_spec, capsys, monkeypatch):
-        # the graph of f comes from the request; only f^2..f^n_max are built
+        # one row build per graph: f for the request, f^2..f^n_max for the mixing stage
         from chaindyn import chaingraph
 
         calls = []
-        build = chaingraph.build_transition_graph
+        build = chaingraph._graph_of_images
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return build(*args, **kwargs)
+        def counted(system, d, images, power):
+            calls.append(power)
+            return build(system, d, images, power)
 
-        monkeypatch.setattr(chaingraph, "build_transition_graph", counted)
-        monkeypatch.setattr(cli, "build_transition_graph", counted)
+        monkeypatch.setattr(chaingraph, "_graph_of_images", counted)
         code, out = run_cli(
             ["mixing", "--spec", rotation_spec, "--nmax", "5", "--format", "machine"], capsys)
         assert code == 0
         # every iterate is transitive, so none is skipped by a short circuit
         assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
-        assert len(calls) == 5
+        assert calls == [1, 2, 3, 4, 5]
 
     def test_mixing_runs_tarjan_once_per_graph(self, rotation_spec, capsys, monkeypatch):
-        # the request's own pass serves f; f^2..f^n_max take one pass each
+        # the request's own pass serves f; f^2..f^n_max are answered by two
+        # sweeps each and run no Tarjan pass
         from chaindyn import chaingraph
 
         calls = []
         scc = chaingraph.strongly_connected_components
 
         def counted(g):
-            calls.append(1)
+            calls.append(g.source[1])
             return scc(g)
 
         monkeypatch.setattr(chaingraph, "strongly_connected_components", counted)
@@ -557,7 +558,32 @@ class TestOncePerRequest:
             ["mixing", "--spec", rotation_spec, "--nmax", "5", "--format", "machine"], capsys)
         assert code == 0
         assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
-        assert len(calls) == (5 - 1) + 1
+        assert len(calls) == 1 and "|f^" not in calls[0]
+
+    def test_mixing_applies_the_map_n_times_per_graph(self, rotation_spec, capsys, monkeypatch):
+        # each k-fold image is the (k-1)-fold one stepped once: n * n_max
+        # applications of the rotation formula, where rebuilding every image
+        # from its grid point takes n * (1 + 2 + ... + n_max).  The angle counts
+        # them: the formula adds it to a float, which calls its __radd__.
+        applications = []
+
+        class CountedAngle(float):
+            def __radd__(self, other):
+                applications.append(1)
+                return other + float(self)
+
+        load = cli.load_system
+
+        def counted_load(*args):
+            system = load(*args)
+            return replace(system, params=(CountedAngle(system.params[0]),))
+
+        monkeypatch.setattr(cli, "load_system", counted_load)
+        code, out = run_cli(
+            ["mixing", "--spec", rotation_spec, "--nmax", "5", "--format", "machine"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
+        assert len(applications) == 128 * 5
 
 
 class TestResourceLimits:

@@ -556,26 +556,34 @@ def disconnectedness_dichotomy(
     the model records a gap (single-point spaces qualify trivially).  The
     shadowing outcome comes from the modulus estimator for the identity
     map; agreement means the two booleans coincide, the dichotomy's finite echo.
+
+    On a sorted space a metric E's components are the index runs between
+    the neighbours x, x + 1 (and n - 1, 0 on the circle) that no ball joins;
+    any other relation counts them by Tarjan on its rows.
     """
     space.check_same(e.space, "entourage")
-
-    # an entourage is symmetric, so its strongly connected components are
-    # the connected components of the scale relation
-    rows = tuple(tuple(e.row(x)) for x in range(space.n))
-    comps = strongly_connected_components(TransitionGraph(space.n, rows))
-    connected = len(comps) == 1 and (
-        e.scale is None or e.scale >= space.resolution - COMPARISON_SLACK or space.n == 1
+    n, arcs = space.n, e.arcs
+    if arcs is not None:
+        wraps = space._wraps
+        ends = range(n if wraps else n - 1)
+        breaks = sum(not arc_contains(arcs[x], (x + 1) % n, n) for x in ends)
+        count = max(breaks, 1) if wraps else breaks + 1
+    else:
+        # an entourage is symmetric, so its strongly connected components are
+        # the connected components of the scale relation
+        rows = tuple(tuple(e.row(x)) for x in range(n))
+        count = len(strongly_connected_components(TransitionGraph(n, rows)))
+    connected = count == 1 and (
+        e.scale is None or e.scale >= space.resolution - COMPARISON_SLACK or n == 1
     )
-    totally_disconnected = space.n == 1 or (
-        space.gap is not None and all(len(c) == 1 for c in comps)
-    )
+    totally_disconnected = n == 1 or (space.gap is not None and count == n)
     report = estimate_shadowing_modulus(
         identity_system(space), e, basis, trials, length, seed
     )
     return DichotomyReport(
         connected_at_scale=connected,
         totally_disconnected_at_scale=totally_disconnected,
-        component_count=len(comps),
+        component_count=count,
         modulus_found=report.found,
         modulus_label=report.modulus.label if report.modulus else None,
         agreement=report.found == totally_disconnected,

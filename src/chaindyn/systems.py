@@ -43,6 +43,7 @@ from .uniform import (
     FinitePhaseSpace,
     Geometry,
     _check_grid_size,
+    _even_grid,
     circle_grid,
     discrete_grid,
     interval_grid,
@@ -332,9 +333,7 @@ def odometer_system(levels: int, name: str | None = None) -> SystemSpec:
     if levels >= MAX_POINTS.bit_length():  # 2**levels > MAX_POINTS, not computed
         raise ResourceLimitError(f"2^{levels} points exceed the cap of {MAX_POINTS}")
     n = 2 ** levels
-    h = 2.0 ** (-levels)
-    pts = tuple((k * h,) for k in range(n))
-    space = FinitePhaseSpace(pts, Geometry.DISCRETE, h, gap=h)
+    space = _even_grid(n, n, Geometry.DISCRETE)
 
     def rev(k: int) -> int:
         # index k encodes coordinates sum(a_i * 2^-i); a_1 is the most

@@ -20,8 +20,9 @@ Design notes baked into this module:
   reads one index run ``(lo, hi)`` per row instead, since a ball there is a
   run of consecutive indices: ``0 <= lo < n`` and ``lo <= hi <= lo + n - 1``,
   and ``hi >= n`` means the run wraps past n - 1 to 0 on the circle.  Both are
-  derived from the space and scale on first use.  On a uniform grid the axiom
-  check reads the half-width k alone (``_half_width``), in O(1), else the runs.
+  derived from the space and scale on first use.  U2 and U3 hold for a metric
+  ball by construction.  On an evenly spaced grid (``_even_grid``) the rest of
+  the axiom check reads the half-width k alone (``_half_width``), in O(1).
 * Circle distance is ``min(|a-b|, 1-|a-b|)`` per coordinate and product
   geometries take the coordinate-wise max, so an ``eps``-relation composed
   with itself stays inside the ``2*eps``-relation.
@@ -103,7 +104,7 @@ class FinitePhaseSpace:
     _sorted: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
     #: ``geometry.wraps``, read once.
     _wraps: bool = field(init=False, compare=False, repr=False)
-    #: Grid steps of a uniform grid: n on ``circle_grid``, n - 1 on ``interval_grid``.
+    #: Steps of an evenly spaced grid, whose points are k / steps (``_even_grid``); else None.
     _steps: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -313,35 +314,31 @@ def _check_epsilon(epsilon: float) -> None:
         raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
-def _derived(obj, name: str, value):
-    object.__setattr__(obj, name, value)
-    return obj
+def _even_grid(n: int, steps: int, geometry: Geometry) -> FinitePhaseSpace:
+    """The n points k / steps, marked by ``_steps``; spacing (and a discrete gap) 1 / steps."""
+    h = 1.0 / steps
+    gap = h if geometry is Geometry.DISCRETE else None
+    space = FinitePhaseSpace(tuple((k / steps,) for k in range(n)), geometry, h, gap)
+    object.__setattr__(space, "_steps", steps)
+    return space
 
 
 def interval_grid(n: int) -> FinitePhaseSpace:
     """Uniform n-point grid on [0, 1] with spacing h = 1/(n-1)."""
     _check_grid_size(n)
-    if n == 1:
-        return FinitePhaseSpace(((0.0,),), Geometry.INTERVAL, 1.0)
-    pts = tuple((k / (n - 1),) for k in range(n))
-    return _derived(FinitePhaseSpace(pts, Geometry.INTERVAL, 1.0 / (n - 1)), "_steps", n - 1)
+    return _even_grid(n, max(n - 1, 1), Geometry.INTERVAL)
 
 
 def circle_grid(n: int) -> FinitePhaseSpace:
     """Uniform n-point grid on the circle with spacing h = 1/n."""
     _check_grid_size(n)
-    pts = tuple((k / n,) for k in range(n))
-    return _derived(FinitePhaseSpace(pts, Geometry.CIRCLE, 1.0 / n), "_steps", n)
+    return _even_grid(n, n, Geometry.CIRCLE)
 
 
 def discrete_grid(n: int) -> FinitePhaseSpace:
-    """n isolated points embedded uniformly in [0, 1] (gap recorded)."""
+    """n isolated points embedded uniformly in [0, 1], as ``interval_grid`` (gap recorded)."""
     _check_grid_size(n)
-    if n == 1:
-        return FinitePhaseSpace(((0.0,),), Geometry.DISCRETE, 1.0, gap=1.0)
-    h = 1.0 / (n - 1)
-    pts = tuple((k * h,) for k in range(n))
-    return FinitePhaseSpace(pts, Geometry.DISCRETE, h, gap=h)
+    return _even_grid(n, max(n - 1, 1), Geometry.DISCRETE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,28 +453,13 @@ class Entourage:
         return sum(len(row) for row in self.rows)
 
     def has_diagonal(self) -> bool:
-        if self.half_width is not None:
-            return True
-        if self.arcs is not None:
-            n = self.n
-            return all(arc_contains(arc, i, n) for i, arc in enumerate(self.arcs))
-        return all(i in row for i, row in enumerate(self.rows))
+        # U2 holds for a metric ball by construction: dist(x, x) = 0
+        return self._rows is None or all(i in row for i, row in enumerate(self._rows))
 
     def is_symmetric(self) -> bool:
-        if self.half_width is not None:
-            return True
-        ends, n = self._ends, self.n
-        if ends is not None:
-            # Row x reaches back from both of its ends, so by the staircase
-            # every y in row x has x in row y.  Should a relation pass the
-            # staircase yet fail this, the pairwise test below decides.
-            lows, highs = ends
-            if all(
-                lows[h % n] + n * (h // n) <= x <= highs[lo % n] + n * (lo // n)
-                for x, (lo, h) in enumerate(zip(lows, highs))
-            ):
-                return True
-        return all(x in self.rows[y] for x, row in enumerate(self.rows) for y in row)
+        # U3 likewise: dist(x, y) == dist(y, x) bit for bit, sorted space or not
+        rows = self._rows
+        return rows is None or all(x in rows[y] for x, row in enumerate(rows) for y in row)
 
     def is_diagonal_only(self) -> bool:
         if self.half_width is not None:  # a run of half-width k > 0 fails at index 0
@@ -561,12 +543,13 @@ def _half_width(space: FinitePhaseSpace, bound: float) -> int | None:
 
     A computed distance lies within 5e-16 of |i - j| * h, so where t = bound / h is within
     1e-14 * (steps + t), 20 times that, of an integer, None leaves it to the per-point scan.
+    A full ball off the circle is n - 1 wide, not steps: the odometer has steps = n.
     """
     steps, wraps = space._steps, space._wraps
     if steps is None:
         return None
     if bound >= (0.5 if wraps else 1.0):
-        return steps // 2 if wraps else steps
+        return steps // 2 if wraps else space.n - 1
     t = bound * steps
     return None if abs(round(t) - t) <= 1e-14 * (steps + t) else math.floor(t)
 

@@ -15,6 +15,7 @@ from chaindyn import (
     build_transition_graph,
     cantor_space,
     catalog_systems,
+    circle_grid,
     diagonal_entourage,
     discrete_grid,
     disconnectedness_dichotomy,
@@ -49,6 +50,7 @@ from oracles import (
     shadow_bruteforce,
     sorted_list_space,
 )
+from test_uniform import sorted_spaces
 
 CATALOG = {n: catalog_systems(n) for n in (8, 16)}
 
@@ -800,6 +802,52 @@ class TestDichotomy:
         assert report.totally_disconnected_at_scale
         assert report.modulus_found
         assert report.agreement
+
+
+@st.composite
+def dichotomy_cases(draw):
+    """A sorted space and a scale: singleton balls, breaks, wrapping runs, full rows, n = 1."""
+    space = draw(st.one_of(
+        sorted_spaces(),
+        st.integers(1, 64).map(circle_grid),
+        st.integers(1, 64).map(discrete_grid),
+        st.integers(1, 6).map(lambda levels: odometer_system(levels).space)))
+    h = space.resolution
+    scale = draw(st.one_of(
+        st.sampled_from((h / 2, h, 2 * h, 0.25, 0.5 - 1e-12, 0.5, 1.0)),
+        st.floats(min_value=1e-6, max_value=1.0)))
+    return space, scale
+
+
+class TestDichotomyComponents:
+    @given(case=dichotomy_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_components_from_the_runs_match_networkx(self, case):
+        # a metric E on a sorted space counts its components from the runs;
+        # the same relation given as explicit pairs still goes through Tarjan
+        nx = pytest.importorskip("networkx")
+        import chaindyn.shadowing as shadowing
+
+        space, scale = case
+        n, e = space.n, make_epsilon_entourage(space, scale)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from((x, y) for x in range(n) for y in e.row(x))
+        count = nx.number_connected_components(graph)
+        explicit = Entourage.from_pairs(space, graph.edges, e.label, scale)
+        basis = UniformityBasis((e, diagonal_entourage(space)))
+        calls, scc = [], shadowing.strongly_connected_components
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shadowing, "strongly_connected_components",
+                       lambda g: calls.append(g) or scc(g))
+            for relation, tarjan_runs in ((e, 0), (explicit, 1)):
+                calls.clear()
+                report = disconnectedness_dichotomy(
+                    space, relation, basis, trials=1, seed=1, length=3)
+                assert report.component_count == count
+                assert report.totally_disconnected_at_scale == (
+                    n == 1 or (space.gap is not None and count == n))
+                assert len(calls) == tarjan_runs
 
 
 class TestVerification:

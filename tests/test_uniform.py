@@ -383,11 +383,20 @@ def without_half_width(e):
 GRID_DELTAS = (0.0, COMPARISON_SLACK / 2, COMPARISON_SLACK, 2 * COMPARISON_SLACK)
 
 
+def odometer_grid(n):
+    """The odometer's space at the largest 2^k <= n points, 2 points at least."""
+    return odometer_system(max(n.bit_length() - 1, 1)).space
+
+
+#: The evenly spaced grids: each is marked by ``_steps``.
+EVEN_GRIDS = (circle_grid, interval_grid, discrete_grid, odometer_grid)
+
+
 class TestUniformGridRuns:
-    """On circle_grid and interval_grid every ball of one scale is one shifted run."""
+    """On an evenly spaced grid every ball of one scale is one shifted run."""
 
     @given(
-        grid=st.sampled_from((circle_grid, interval_grid)),
+        grid=st.sampled_from(EVEN_GRIDS),
         n=st.integers(min_value=1, max_value=4096),
         data=st.data(),
     )
@@ -404,7 +413,7 @@ class TestUniformGridRuns:
             return
         e = make_epsilon_entourage(space, epsilon)
         assert e.arcs == scanned_runs(space, epsilon), epsilon
-        if epsilon == base and n > 1:
+        if epsilon == base and space.n > 1:
             assert e.half_width is not None  # an exact multiple of h takes no bisection
 
     @pytest.mark.parametrize("n", [2 ** 10, 2 ** 12, 3 * 2 ** 8, 3 * 2 ** 10])
@@ -423,7 +432,7 @@ class TestUniformGridRuns:
         assert e.arcs == scanned_runs(space, 0.009999999999)
 
     @given(
-        grid=st.sampled_from((circle_grid, interval_grid)),
+        grid=st.sampled_from(EVEN_GRIDS),
         n=st.integers(min_value=1, max_value=48),
         data=st.data(),
     )
@@ -433,7 +442,7 @@ class TestUniformGridRuns:
         h = space.resolution
         scales = data.draw(st.lists(st.one_of(
             st.sampled_from((h / 2, h, 2 * h, 3 * h, 0.25, 0.5 - 1e-12, 0.5, 1.0, 2.0)),
-            st.integers(1, n).map(lambda m: m * h),
+            st.integers(1, space.n).map(lambda m: m * h),
             st.floats(min_value=1e-3, max_value=1.0)), min_size=1, max_size=4))
         levels = [make_epsilon_entourage(space, r) for r in scales] + [diagonal_entourage(space)]
         plain = [without_half_width(e) for e in levels]
@@ -483,14 +492,33 @@ class TestUniformGridRuns:
         monkeypatch.setattr(Entourage, "_ends", property(counted("_ends", ends)))
         return calls
 
-    @pytest.mark.parametrize("space", [circle_grid(1024), interval_grid(1025)],
-                             ids=["circle-1024", "interval-1025"])
+    @pytest.mark.parametrize(
+        "space",
+        [circle_grid(1024), interval_grid(1025), discrete_grid(1025), odometer_system(10).space],
+        ids=["circle-1024", "interval-1025", "discrete-1025", "odometer-10"])
     def test_uniform_grid_basis_and_axioms_scan_no_point(self, monkeypatch, space):
         calls = self.count_scans(monkeypatch)
         basis = dyadic_basis(space, 8)
         assert verify_uniformity_axioms(basis).all_ok
         assert calls == {"arc_within": 0, "_ends": 0}
         assert not any("arcs" in vars(level) for level in basis.levels)  # no run was built
+
+    @pytest.mark.parametrize("grid", [interval_grid, circle_grid, discrete_grid])
+    def test_one_point_grids(self, grid):
+        # one point at 0 with h = 1 (and gap 1 on the discrete grid): every
+        # level, from past the full ball down to the floor, is the diagonal
+        space = grid(1)
+        assert (space.points, space.resolution) == (((0.0,),), 1.0)
+        assert space.gap == (1.0 if grid is discrete_grid else None)
+        levels = [make_epsilon_entourage(space, r) for r in (2.0, 1.0, 0.5, 0.125)]
+        for e in (*levels, diagonal_entourage(space)):
+            assert e.arcs == ((0, 0),) and e.is_diagonal_only(), e.label
+        basis = dyadic_basis(space, 4)
+        report = verify_uniformity_axioms(basis)
+        assert report.all_ok and report.floor_is_diagonal
+        assert [lvl.half_witness for lvl in report.levels] == ["eps=1"] * 5
+        plain = UniformityBasis(tuple(without_half_width(e) for e in basis.levels))
+        assert verify_uniformity_axioms(plain) == report
 
     def test_points_list_basis_and_axioms_scan_each_point(self, monkeypatch):
         # the circle grid's own coordinates, given as a list: not marked uniform

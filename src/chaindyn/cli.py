@@ -31,7 +31,7 @@ from .chaingraph import (
 )
 from .errors import ChainDynError, InvalidParameterError, ResourceLimitError
 from .recurrence import nonwandering_points, omega_limit
-from .shadowing import disconnectedness_dichotomy, estimate_shadowing_modulus
+from .shadowing import DICHOTOMY_LENGTH, disconnectedness_dichotomy, estimate_shadowing_modulus
 from .systems import SystemSpec, load_analysis_defaults, load_system, parse_spec
 from .uniform import (
     MAX_ORBIT_CELLS,
@@ -382,13 +382,13 @@ def main(argv: list[str] | None = None) -> int:
         basis = _pick(args.basis, defaults, "basis", 8)
         trials = _pick(args.trials, defaults, "trials", 20)
         n_max = _pick(args.nmax, defaults, "nmax", 4)
-        n = system.space.n
+        n, orbit = system.space.n, DICHOTOMY_LENGTH if args.command == "dichotomy" else horizon
         for flag, value, cost, what in (
             ("--horizon", horizon, n * horizon, "orbit cells (n x horizon)"),
             ("--nmax", n_max, n * n_max * n_max // 2, "map applications (n x nmax^2 / 2)"),
             ("--basis", basis, n * basis * basis, "half-scale row tests (n x basis^2)"),
-            ("--trials", trials, (trials + 1) * basis * horizon,
-             "pseudo-orbit steps ((trials + 1) x basis x horizon)"),
+            ("--trials", trials, (trials + 1) * basis * orbit,
+             f"pseudo-orbit steps ((trials + 1) x basis x orbit length {orbit})"),
         ):
             if value < 1:  # every command echoes the knobs, so even one that never uses it
                 raise InvalidParameterError(f"{flag} must be >= 1, got {value}")

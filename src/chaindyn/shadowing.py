@@ -52,6 +52,9 @@ EVIDENCE_NOTE = "sampled evidence over seeded pseudo-orbits; not a proof"
 MODE_UNIFORM = "uniform"
 MODE_DRIFT = "adversarial-drift"
 
+#: Steps of each pseudo-orbit that the dichotomy walks, whatever a request's horizon.
+DICHOTOMY_LENGTH = 100
+
 
 @dataclass(frozen=True)
 class PseudoOrbit:
@@ -334,16 +337,9 @@ def find_shadow_point(
 def candidate_levels(basis: UniformityBasis) -> list[Entourage]:
     """Basis levels eligible as shadowing moduli (see module docstring)."""
     space = basis.space
-    out = []
-    for lvl in basis.levels[:-1]:
-        if lvl.scale is None:
-            out.append(lvl)
-        elif space.geometry == Geometry.DISCRETE:
-            if lvl.scale > 0:
-                out.append(lvl)
-        elif lvl.scale >= space.resolution - COMPARISON_SLACK:
-            out.append(lvl)
-    return out
+    discrete, least = space.geometry == Geometry.DISCRETE, space.resolution - COMPARISON_SLACK
+    return [lvl for lvl in basis.levels[:-1]
+            if lvl.scale is None or (lvl.scale > 0 if discrete else lvl.scale >= least)]
 
 
 def estimate_shadowing_modulus(
@@ -546,7 +542,7 @@ def disconnectedness_dichotomy(
     trials: int,
     seed: int,
     *,
-    length: int = 100,
+    length: int = DICHOTOMY_LENGTH,
 ) -> DichotomyReport:
     """Finite echo of "identity has shadowing iff the space is totally disconnected".
 

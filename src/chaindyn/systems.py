@@ -307,7 +307,12 @@ def permutation_system(
     cycles: Sequence[Sequence[int]], n: int, name: str = "permutation"
 ) -> SystemSpec:
     """Permutation given in cycle notation over a discrete n-point space."""
-    space, perm = discrete_grid(n), list(range(n))
+    return SystemSpec(name, MapKind.PERMUTATION, discrete_grid(n), (), _permutation_of(cycles, n))
+
+
+def _permutation_of(cycles: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """The index permutation of n points that ``cycles`` (cycle notation) give."""
+    perm = list(range(n))
     seen: set[int] = set()
     for cycle in cycles:
         for i in cycle:
@@ -318,7 +323,7 @@ def permutation_system(
             seen.add(i)
         for a, b in zip(cycle, [*cycle[1:], *cycle[:1]]):
             perm[a] = b
-    return SystemSpec(name, MapKind.PERMUTATION, space, (), tuple(perm))
+    return tuple(perm)
 
 
 def odometer_system(levels: int, name: str | None = None) -> SystemSpec:
@@ -502,8 +507,7 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
         levels = _typed(raw_params[0], int, "odometer levels")
         if geometry != Geometry.DISCRETE:
             raise ValidationError("odometer requires discrete geometry")
-        sys_ = odometer_system(levels, name=name)
-        return sys_
+        return odometer_system(levels, name=name)
     space = _build_space(doc, geometry)
     if kind == MapKind.PERMUTATION:
         cycles = doc.get("cycles")
@@ -512,8 +516,7 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
         cycles = [
             [_typed(i, int, "cycle index") for i in _typed(c, list, "cycle")] for c in cycles
         ]
-        perm = permutation_system(cycles, space.n, name=name).permutation
-        return SystemSpec(name, MapKind.PERMUTATION, space, (), perm)
+        return SystemSpec(name, MapKind.PERMUTATION, space, (), _permutation_of(cycles, space.n))
     return SystemSpec(name, kind, space, params)
 
 

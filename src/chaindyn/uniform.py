@@ -345,9 +345,10 @@ def discrete_grid(n: int) -> FinitePhaseSpace:
 class Entourage:
     """A relation on point indices; ``rows[i]`` holds every ``j`` with ``(i, j)`` in it.
 
-    An explicit relation keeps its index sets in ``_rows`` (a caller may
-    attach a ``scale``).  A metric entourage {(x, y) : dist(x, y) <= scale}
-    has ``_rows=None`` and derives the rest on first use: ``arcs``, each
+    An entourage is a metric ball or an explicit relation, never both.  An
+    explicit relation keeps its index sets in ``_rows`` and has no
+    ``scale``.  A metric entourage {(x, y) : dist(x, y) <= scale} has
+    ``_rows=None`` and derives the rest on first use: ``arcs``, each
     ball's run on a sorted space (see ``arc_within``), and ``half_width``,
     k of "index distance <= k" on a uniform grid and 0 at scale 0.  The
     relation queries read k, else the runs, when every entourage involved has them.
@@ -359,24 +360,21 @@ class Entourage:
     scale: float | None = None
 
     def __post_init__(self) -> None:
+        if self._rows is not None and self.scale is not None:
+            raise InvalidParameterError("an explicit relation takes no scale")
         if self._rows is None and self.scale != 0:
             _check_epsilon(self.scale)
 
     @classmethod
-    def from_pairs(
-        cls,
-        space: FinitePhaseSpace,
-        pairs: Iterable[tuple[int, int]],
-        label: str,
-        scale: float | None = None,
-        close: bool = True,
-    ) -> "Entourage":
-        """Build a relation from ordered pairs.
+    def from_pairs(cls, space: FinitePhaseSpace, pairs: Iterable[tuple[int, int]], label: str,
+                   *, close: bool = True) -> "Entourage":
+        """Build an explicit relation, which has no scale, from ordered pairs.
 
         With ``close=True`` (the default) the diagonal is added and the
         relation is symmetrized, which enforces axioms U2/U3 at insertion.
         ``close=False`` stores the pairs verbatim, which is how axiom
-        violations are constructed for testing.
+        violations are constructed for testing.  ``close`` is keyword-only,
+        so a stale positional scale is a ``TypeError``, not a ``close`` flag.
         """
         n = space.n
         rows: list[set[int]] = [set() for _ in range(n)]
@@ -388,7 +386,7 @@ class Entourage:
         if close:
             for i in range(n):
                 rows[i].add(i)
-        return cls(space, tuple(frozenset(r) for r in rows), label, scale)
+        return cls(space, tuple(frozenset(r) for r in rows), label)
 
     @cached_property
     def half_width(self) -> int | None:
@@ -555,9 +553,9 @@ def _half_width(space: FinitePhaseSpace, bound: float) -> int | None:
 
 
 def diagonal_entourage(space: FinitePhaseSpace) -> Entourage:
-    """The diagonal-only relation, the uniformity floor: on a sorted space, the scale-0 ball."""
+    """The uniformity floor, the diagonal-only relation: a scale-0 ball if sorted, else rows."""
     rows = None if space._sorted is not None else tuple(frozenset((i,)) for i in range(space.n))
-    return Entourage(space, rows, "diag", 0.0)
+    return Entourage(space, rows, "diag", 0.0 if rows is None else None)
 
 
 def compose(e1: Entourage, e2: Entourage) -> Entourage:

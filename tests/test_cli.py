@@ -622,6 +622,23 @@ class TestResourceLimits:
         assert "--horizon" in err
         assert elapsed < 1.0
 
+    def test_dichotomy_trials_are_charged_its_orbit_length(self, tmp_path, capsys):
+        # the dichotomy walks 100-step orbits whatever --horizon says, so a
+        # one-step horizon admits no more trials
+        cycles = [[k, k + 1] for k in range(0, 64, 2)]
+        spec = write_spec(
+            tmp_path, f"name: p\nmap: permutation\ngeometry: discrete\ngrid_n: 64\ncycles: {cycles}\n")
+        argv = ["dichotomy", "--spec", spec, "--seed", "1", "--horizon", "1"]
+        assert cli.DICHOTOMY_LENGTH == 100
+        start = time.perf_counter()
+        code = cli.main([*argv, "--trials", "1000000"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ResourceLimitError:")
+        assert "--trials" in err[0] and "orbit length 100" in err[0]
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--nmax", "1000000"), ("--basis", "1000000"), ("--trials", "1000000000")],

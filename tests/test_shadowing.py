@@ -82,6 +82,47 @@ SHADOW_SYSTEMS = (
 )
 
 
+#: Permutations and the identity on ``points:`` spaces that are not sorted 1-D
+#: coordinates: an unsorted discrete list and 2-D points.
+UNSORTED_SYSTEMS = tuple(load_system(f"{name}.yaml", {"name": name, **doc}) for name, doc in (
+    ("unsorted", {"map": "permutation", "geometry": "discrete",
+                  "points": [0.9, 0.1, 0.5, 0.3, 0.7, 0.2], "cycles": [[0, 2, 4], [1, 5]]}),
+    ("plane", {"map": "permutation", "geometry": "discrete",
+               "points": [[0.1, 0.2], [0.5, 0.7], [0.9, 0.4], [0.3, 0.8]], "cycles": [[0, 1, 3]]}),
+    ("torus", {"map": "identity", "geometry": "product-of-circles",
+               "points": [[0.1, 0.2], [0.5, 0.7], [0.9, 0.4], [0.3, 0.8]]}),
+))
+
+
+def explicit_relations(space):
+    """Explicit relations on a space: pairs closed and verbatim, and an unsorted space's floor.
+
+    Verbatim pairs from the even indices only leave the odd rows empty, so
+    walks through them dead-end.
+    """
+    n = space.n
+    pairs = [(x, (3 * x + 1) % n) for x in range(n)]
+    relations = [
+        Entourage.from_pairs(space, pairs, "closed"),
+        Entourage.from_pairs(space, pairs, "verbatim", close=False),
+        Entourage.from_pairs(space, pairs[::2], "verbatim-even", close=False),
+    ]
+    if space._sorted is None:
+        relations.append(diagonal_entourage(space))
+    return relations
+
+
+def assert_orbit_is_a_chain(system, d, length, seed, mode):
+    """A walk that does not dead-end passes its verifier and is a path of the graph."""
+    try:
+        orbit = generate_pseudo_orbit(system, d, length, seed=seed, mode=mode)
+    except DiscretizationTooCoarseError:
+        return
+    graph = build_transition_graph(system, d)
+    assert all(graph.has_edge(a, b) for a, b in zip(orbit.states, orbit.states[1:]))
+    assert verify_pseudo_orbit(orbit, system, d), (system.name, d.label, mode)
+
+
 @st.composite
 def orbit_systems(draw):
     """A catalog system, or a rotation or doubling on a random circle list with 0.0 and 1.0."""
@@ -160,8 +201,6 @@ class TestGeneration:
         assert a != c
 
     def test_uniform_steps_are_graph_edges(self):
-        from chaindyn import build_transition_graph
-
         s = doubling_system(32)
         d = make_epsilon_entourage(s.space, 2 * s.space.resolution)
         g = build_transition_graph(s, d)
@@ -169,6 +208,10 @@ class TestGeneration:
         for a, b in zip(orbit.states, orbit.states[1:]):
             assert g.has_edge(a, b)
         assert verify_pseudo_orbit(orbit, s, d)
+        for system in (s, square_system(17), *UNSORTED_SYSTEMS):
+            for relation in explicit_relations(system.space):
+                for seed in range(4):
+                    assert_orbit_is_a_chain(system, relation, 50, seed, "uniform")
 
     def test_every_emitted_orbit_revalidates(self):
         for system in catalog_systems(16):
@@ -176,20 +219,22 @@ class TestGeneration:
             for mode in ("uniform", "adversarial-drift"):
                 orbit = generate_pseudo_orbit(system, d, 15, seed=5, mode=mode)
                 assert verify_pseudo_orbit(orbit, system, d), (system.name, mode)
+        for system in (*catalog_systems(16), CANTOR_POINTS, *UNSORTED_SYSTEMS):
+            for relation in explicit_relations(system.space):
+                for mode in ("uniform", "adversarial-drift"):
+                    assert_orbit_is_a_chain(system, relation, 15, 5, mode)
 
     def test_too_coarse_raises_with_step(self):
-        # doubling image of the second cantor point falls far off-grid, so a
-        # tiny ball has no grid member
+        # identity images are on the grid, so even a tiny ball holds its own
+        # point; the square map's third point 1/256 is off the 33-point grid
         sp = cantor_space(2)
         s = identity_system(sp)
-        d = Entourage(sp, diagonal_entourage(sp).rows, "tiny", 1e-6)
+        d = make_epsilon_entourage(sp, 1e-6)
         orbit = generate_pseudo_orbit(s, d, 5, seed=1, mode="uniform")
-        assert orbit.horizon == 5  # identity images are on-grid: fine
+        assert orbit.horizon == 5
         sq = square_system(33)
-        tiny = Entourage(
-            sq.space, diagonal_entourage(sq.space).rows, "tiny", 1e-9
-        )
-        with pytest.raises(DiscretizationTooCoarseError, match="step"):
+        tiny = make_epsilon_entourage(sq.space, 1e-9)
+        with pytest.raises(DiscretizationTooCoarseError, match="step 2"):
             generate_pseudo_orbit(sq, tiny, 5, seed=1, mode="uniform", start=16)
 
     def test_length_must_be_positive(self):
@@ -239,15 +284,24 @@ class TestGeneration:
             got = int(str(exc).split()[1].rstrip(":"))
         assert got == expected
 
-    def test_explicit_rows_keep_row_semantics(self):
-        # explicit rows with a scale attached: an on-grid image reads its row,
-        # not the ball of that scale
-        s = identity_system(interval_grid(9))
-        diag = Entourage(s.space, diagonal_entourage(s.space).rows, "diag-rows", 0.3)
-        assert diag.arcs is None
-        orbit = generate_pseudo_orbit(s, diag, 6, seed=4, mode="adversarial-drift", start=2)
-        assert orbit.states == (2,) * 7
-        assert build_transition_graph(s, diag).succ == tuple((i,) for i in range(9))
+    def test_explicit_diagonal_rows_pass_the_verifier(self):
+        # explicit diagonal rows carry no scale: every image, on the grid or
+        # off it, reads the row of its nearest grid point, so each walk is
+        # the snapped orbit, a path of the graph and a verified chain
+        s = square_system(9)
+        diag = Entourage.from_pairs(s.space, [], "diag-rows")
+        assert diag.scale is None and diag.arcs is None
+        images = s.grid_images
+        assert build_transition_graph(s, diag).succ == tuple((im[1],) for im in images)
+        on_grid = set()
+        for start in range(9):
+            for mode in ("uniform", "adversarial-drift"):
+                orbit = generate_pseudo_orbit(s, diag, 6, seed=4, mode=mode, start=start)
+                states = orbit.states
+                assert all(images[x][1] == y for x, y in zip(states, states[1:]))
+                assert verify_pseudo_orbit(orbit, s, diag), (start, mode)
+                on_grid.update(images[x][3] is not None for x in states[:-1])
+        assert on_grid == {True, False}
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -834,7 +888,7 @@ class TestDichotomyComponents:
         graph.add_nodes_from(range(n))
         graph.add_edges_from((x, y) for x in range(n) for y in e.row(x))
         count = nx.number_connected_components(graph)
-        explicit = Entourage.from_pairs(space, graph.edges, e.label, scale)
+        explicit = Entourage.from_pairs(space, graph.edges, e.label)
         basis = UniformityBasis((e, diagonal_entourage(space)))
         calls, scc = [], shadowing.strongly_connected_components
         with pytest.MonkeyPatch.context() as mp:
@@ -938,9 +992,12 @@ class TestExportImport:
 
 @st.composite
 def closeness_relations(draw):
-    """A metric entourage on a sorted, unsorted or product-of-circles space, or an explicit one."""
+    """A metric entourage, explicit pairs (closed or verbatim) or the diagonal floor.
+
+    The space is a sorted, unsorted or product-of-circles one.
+    """
     n = draw(st.integers(2, 12))
-    kind = draw(st.sampled_from(("sorted", "unsorted", "product", "pairs")))
+    kind = draw(st.sampled_from(("sorted", "unsorted", "product")))
     # distinct points, also on the circle, where 0.0 and 1.0 would coincide
     coords = [k / 1000 for k in draw(st.lists(
         st.integers(0, 999), min_size=n, max_size=n, unique=True))]
@@ -953,15 +1010,36 @@ def closeness_relations(draw):
         space = FinitePhaseSpace(tuple((c,) for c in sorted(coords)[::-1]), geometry, 1.0)
     else:
         space = sorted_list_space(coords, geometry)
-    if kind == "pairs":
+    relation = draw(st.sampled_from(("metric", "metric", "pairs", "diagonal")))
+    if relation == "pairs":
         index = st.integers(0, n - 1)
-        return Entourage.from_pairs(space, draw(st.lists(st.tuples(index, index))), "pairs")
+        pairs = draw(st.lists(st.tuples(index, index)))
+        return Entourage.from_pairs(space, pairs, "pairs", close=draw(st.booleans()))
+    if relation == "diagonal":
+        return diagonal_entourage(space)
     # a scale just below a pairwise distance puts that pair on the slack boundary
     i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     near = space.distance(space.points[i], space.points[j]) + draw(
         st.sampled_from((-1e-12, -1.5e-12, -5e-13, 0.0)))
     return make_epsilon_entourage(space, draw(st.one_of(
         st.just(near), st.floats(1e-6, 1.0), st.sampled_from((0.5 - 1e-12, 0.5)))))
+
+
+@st.composite
+def systems_on(draw, space):
+    """The identity, or a map that the space's geometry and dimension allow, as f or f^2."""
+    kinds = [MapKind.IDENTITY]
+    if space.dimension == 1 and space.geometry == Geometry.CIRCLE:
+        kinds += [MapKind.ROTATION, MapKind.DOUBLING]
+    if space.dimension == 1 and space.geometry == Geometry.INTERVAL:
+        kinds += [MapKind.TENT, MapKind.SQUARE]
+    kind = draw(st.sampled_from(kinds))
+    params = (draw(st.floats(0.01, 0.99)),) if kind in (MapKind.ROTATION, MapKind.TENT) else ()
+    perm = None
+    if space.geometry == Geometry.DISCRETE and draw(st.booleans()):
+        kind, perm = MapKind.PERMUTATION, tuple(draw(st.permutations(range(space.n))))
+    system = SystemSpec(kind.value, kind, space, params, perm)
+    return replace(system, power=draw(st.integers(1, 2)))
 
 
 class TestOneClosenessRule:
@@ -997,3 +1075,14 @@ class TestOneClosenessRule:
             assert image_successors(d, p) == expected, p
         for w, p in enumerate(space.points):
             assert d.row(w) == list(image_successors(d, p)), w
+
+    @given(d=closeness_relations(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_graph_rows_are_image_successors(self, d, data):
+        # row x of the graph, read from D's stored row when f(x) is a grid
+        # point, is the rule applied to the exact image
+        system = data.draw(systems_on(d.space))
+        graph = build_transition_graph(system, d)
+        for x, (image, *_) in enumerate(system.grid_images):
+            held = tuple(y for y in range(d.n) if entourage_holds(d, image, y))
+            assert graph.succ[x] == image_successors(d, image) == held, (system.name, x)

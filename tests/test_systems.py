@@ -375,6 +375,25 @@ class TestSpecFiles:
         s = load_system(str(p))
         assert s.permutation == (1, 0, 3, 2)
 
+    def test_permutation_spec_builds_one_space(self, tmp_path, monkeypatch):
+        # one grid, the spec's own, and the cycle messages of permutation_system
+        import chaindyn.systems as systems
+
+        built, grid = [], systems.discrete_grid
+        monkeypatch.setattr(systems, "discrete_grid", lambda n: built.append(n) or grid(n))
+        path = str(tmp_path / "perm.yaml")
+        doc = {"name": "swap", "map": "permutation", "geometry": "discrete", "grid_n": 4}
+        s = load_system(path, {**doc, "cycles": [[0, 1], [2, 3]]})
+        assert built == [4] and s.permutation == (1, 0, 3, 2)
+        assert s.space.points == grid(4).points
+        for cycles, message in (([[0, 4]], "cycle index 4 out of range"),
+                                ([[0, 1], [1, 2]], "cycle index 1 repeated")):
+            with pytest.raises(ValidationError) as from_spec:
+                load_system(path, {**doc, "cycles": cycles})
+            with pytest.raises(ValidationError) as from_cycles:
+                permutation_system(cycles, 4)
+            assert str(from_spec.value) == str(from_cycles.value) == message
+
     def test_odometer_from_file(self, tmp_path):
         p = tmp_path / "odo.yaml"
         p.write_text("name: odo\nmap: odometer\ngeometry: discrete\nparams: [3]\n")

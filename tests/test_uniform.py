@@ -354,13 +354,13 @@ class TestIntervalEntourage:
         explicit = Entourage.from_pairs(space, pairs, "x", close=data.draw(st.booleans()))
         d, e = data.draw(st.sampled_from(levels)), data.draw(st.sampled_from(levels))
         # the same relations as explicit rows: row-backed and mixed pairs
-        d_rows, e_rows = (Entourage(space, r.rows, r.label, r.scale) for r in (d, e))
+        d_rows, e_rows = (Entourage(space, r.rows, r.label) for r in (d, e))
         for a in (d, d_rows):
             for b in (e, e_rows, explicit):
                 assert a.square_is_subset(b) == compose(a, a).is_subset(b)
                 assert a.is_subset(b) == all(x <= y for x, y in zip(a.rows, b.rows))
         assert explicit.square_is_subset(d) == compose(explicit, explicit).is_subset(d)
-        assert d == d_rows
+        assert d.rows == d_rows.rows
         for query in ("pair_count", "has_diagonal", "is_symmetric", "is_diagonal_only"):
             assert getattr(d, query)() == getattr(d_rows, query)(), query
 
@@ -475,6 +475,19 @@ class TestUniformGridRuns:
     def test_metric_entourage_needs_a_scale_in_range(self, scale):
         with pytest.raises(InvalidParameterError):
             Entourage(circle_grid(8), None, "x", scale)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.1, 0.3, 1.0])
+    def test_explicit_rows_refuse_a_scale(self, scale):
+        # an entourage is a metric ball or an explicit relation, never both
+        space = interval_grid(9)
+        rows = diagonal_entourage(space).rows
+        with pytest.raises(InvalidParameterError, match="no scale"):
+            Entourage(space, rows, "diag-rows", scale)
+        with pytest.raises(TypeError):
+            Entourage.from_pairs(space, [(0, 8)], "far", scale=scale)
+        with pytest.raises(TypeError):  # close is keyword-only
+            Entourage.from_pairs(space, [(0, 8)], "far", scale)
+        assert Entourage.from_pairs(space, [(0, 8)], "far").scale is None
 
     @staticmethod
     def count_scans(monkeypatch):

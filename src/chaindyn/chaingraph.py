@@ -34,7 +34,7 @@ from .errors import (
     UndefinedDiameterError,
     check_count,
 )
-from .systems import ImageTable, SystemSpec
+from .systems import SystemSpec
 from .uniform import Entourage, mask_indices
 
 __all__ = [
@@ -112,20 +112,14 @@ def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
     that :func:`image_successors` would build.
     """
     system.space.check_same(d.space, "entourage")
-    return _graph_of_images(system, d, system.grid_images, system.power)
-
-
-def _graph_of_images(
-    system: SystemSpec, d: Entourage, images: ImageTable, power: int
-) -> TransitionGraph:
-    """The transition graph at D of f^power, given its table of grid images."""
+    images = system.grid_images
 
     def row(x: int) -> tuple[int, ...]:
         image, _, _, w = images[x]
         return image_successors(d, image) if w is None else tuple(d.row(w))
 
     rows = _parallel.ordered_map(row, range(system.space.n))
-    label = d.label if power == 1 else f"{d.label}|f^{power}"
+    label = d.label if system.power == 1 else f"{d.label}|f^{system.power}"
     return TransitionGraph(system.space.n, tuple(rows), (system.name, label))
 
 
@@ -282,19 +276,18 @@ def is_totally_chain_transitive(
     analysed again.
 
     The graph of f^k, k >= 2, is built once and answered by the two sweeps
-    of :func:`is_chain_transitive`: no components, periods or classes.  Its
-    images are those of f^(k-1) stepped once more
-    (:meth:`SystemSpec.image_powers`), and the first graph that fails ends
+    of :func:`is_chain_transitive`: no components, periods or classes.  The
+    systems of f^k come from :meth:`SystemSpec.iterates`, whose images are
+    those of f^(k-1) stepped once more, and the first graph that fails ends
     the walk, so f^power is applied at most n * n_max times.
     """
     system.space.check_same(d.space, "entourage")
     check_count(n_max, "n_max")
     if analysis is None:
         analysis = ChainAnalysis.from_graph(build_transition_graph(system, d))
-    powers = islice(system.image_powers(), 1, n_max)  # the tables of f^2 .. f^n_max
     return analysis.transitive and all(
-        is_chain_transitive(_graph_of_images(system, d, images, k * system.power))
-        for k, images in enumerate(powers, start=2)
+        is_chain_transitive(build_transition_graph(s, d))
+        for s in islice(system.iterates(), 1, n_max)  # the systems of f^2 .. f^n_max
     )
 
 

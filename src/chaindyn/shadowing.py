@@ -436,8 +436,11 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
 
     Grid bijections (resonant rotations, permutations, odometers) are
     checked exactly through the induced index permutation.  Other maps run
-    in within-tolerance mode: a level only fails on a pair whose image
-    distance clears the scale by more than 1e-9.
+    in within-tolerance mode: a level with a positive scale only fails on a
+    pair whose image distance clears the scale by more than 1e-9.  A level
+    without one (explicit rows, or the scale-0 floor of a sorted space) is
+    read through the snapped images, so the floor fails wherever two grid
+    points' images snap to one index.
     """
     space, images = system.space, system.grid_images
     space.check_same(basis.space, "basis")
@@ -450,7 +453,7 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
             before = lvl.contains(x, y)
             if perm is not None:
                 return before == lvl.contains(perm[x], perm[y])
-            if lvl.scale is None:
+            if not lvl.scale:
                 return before == lvl.contains(images[x][1], images[y][1])
             dist = space.distance(images[x][0], images[y][0])
             after = dist <= lvl.scale + COMPARISON_SLACK

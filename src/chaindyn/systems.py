@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import yaml
@@ -177,33 +177,35 @@ class SystemSpec:
             out.append((image, idx, dist, idx if image == space.points[idx] else None))
         return tuple(out)
 
-    def image_powers(self) -> Iterator[ImageTable]:
-        """The grid images of f^power, f^(2 power), f^(3 power), ..., without end.
+    def iterates(self) -> Iterator[SystemSpec]:
+        """The systems of f^power, f^(2 power), f^(3 power), ..., without end.
 
-        The first table is :attr:`grid_images`; each later one applies f^power
-        once more to the table before it, so the k-th table equals
-        ``replace(self, power=k * self.power).grid_images`` entry for entry.
-        A float map steps each image with ``float_step``, which applies f in
-        the same sequence; a permutation-backed map steps each index with the
-        permutation raised to ``power``, from the grid point's nearest index
-        as :func:`iterate` starts; a many-dimensional identity repeats the
-        table.
+        The first is this system; the k-th is ``replace(self, power=k *
+        self.power)`` with its :attr:`grid_images` already set, by applying
+        f^power once more to the table before it.  That equals the table the
+        k-th system would compute, entry for entry: a float map steps each
+        image with ``float_step``, which applies f in the same sequence; a
+        permutation-backed map steps each index with the permutation raised
+        to ``power``, from the grid point's nearest index as :func:`iterate`
+        starts; a many-dimensional identity repeats the table.
         """
         entries = self.grid_images
-        yield entries
+        yield self
         points, f, perm = self.space.points, self.float_step, self.permutation
         if perm is not None:
             step = perm
             for _ in range(self.power - 1):
                 step = tuple(perm[i] for i in step)
             at = [step[self.space.nearest_index(p)] for p in points]
-        while True:
+        for k in count(2):
             if perm is not None:
                 at = [step[i] for i in at]
                 entries = self._image_entries(points[i] for i in at)
             elif f is not None:
                 entries = self._image_entries((f(e[0][0]),) for e in entries)
-            yield entries
+            system = replace(self, power=k * self.power)
+            vars(system)["grid_images"] = entries  # the cached_property's slot
+            yield system
 
     def orbit_step(
         self, coords: tuple[float, ...], at: int | None

@@ -341,7 +341,7 @@ def discrete_grid(n: int) -> FinitePhaseSpace:
     return _even_grid(n, max(n - 1, 1), Geometry.DISCRETE)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Entourage:
     """A relation on point indices; ``rows[i]`` holds every ``j`` with ``(i, j)`` in it.
 
@@ -417,16 +417,6 @@ class Entourage:
         if self.arcs is None:
             return tuple(frozenset(space.indices_within(p, self.scale)) for p in space.points)
         return tuple(frozenset(arc_indices(arc, n)) for arc in self.arcs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Entourage):
-            return NotImplemented
-        if (self.label, self.scale, self.space) != (other.label, other.scale, other.space):
-            return False
-        return (self._rows is None and other._rows is None) or self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.scale, self.n))
 
     @property
     def n(self) -> int:

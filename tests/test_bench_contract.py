@@ -12,7 +12,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,23 @@ def test_traced_request_renders_the_same_bytes(tracer, tmp_path):
                  "chaingraph.build_transition_graph"):
         assert totals[name]["calls"] > 0, name
     assert rec.counts["parallel.ordered_map.calls"] > 0
+
+
+def test_traced_mixing_counts_every_graph_of_f_k(tracer, tmp_path):
+    # the graphs of f^2 and f^3 go through build_transition_graph too, so the
+    # tracer's span and edge counter see all three
+    from chaindyn import build_transition_graph, cli, load_system, make_epsilon_entourage
+
+    spec = tmp_path / "golden.yaml"
+    spec.write_text("name: golden\nmap: rotation\ngeometry: circle\ngrid_n: 16\n"
+                    "params: [0.6180339887498949]\n")
+    system = load_system(str(spec))
+    d = make_epsilon_entourage(system.space, 2 * system.space.resolution)
+    graphs = [build_transition_graph(replace(system, power=k), d) for k in (1, 2, 3)]
+    out = tmp_path / "mixing.json"
+    with tracer.installed(tracer.Recorder()) as rec:
+        assert cli.main(["mixing", "--spec", str(spec), "--nmax", "3",
+                         "--format", "machine", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["mixing"]["totally_chain_transitive"]
+    assert rec.span_totals()["chaingraph.build_transition_graph"]["calls"] == 3
+    assert rec.counts["chaingraph.edges"] == sum(g.edge_count() for g in graphs)

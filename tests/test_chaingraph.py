@@ -420,8 +420,10 @@ def test_total_transitivity_matches_graphs_rebuilt_from_scratch(data):
     assert is_totally_chain_transitive(system, d, n_max) == expected
     analysis = ChainAnalysis.from_graph(build_transition_graph(system, d))
     assert is_totally_chain_transitive(system, d, n_max, analysis=analysis) == expected
-    for k, images in zip(range(1, n_max + 1), system.image_powers()):
-        assert images == replace(system, power=k * system.power).grid_images, k
+    for k, s in zip(range(1, n_max + 1), system.iterates()):
+        fresh = replace(system, power=k * system.power)
+        assert s == fresh, k
+        assert s.grid_images == fresh.grid_images, k
 
 
 class TestDiameter:

@@ -527,13 +527,14 @@ class TestOncePerRequest:
         from chaindyn import chaingraph
 
         calls = []
-        build = chaingraph._graph_of_images
+        build = chaingraph.build_transition_graph
 
-        def counted(system, d, images, power):
-            calls.append(power)
-            return build(system, d, images, power)
+        def counted(system, d):
+            calls.append(system.power)
+            return build(system, d)
 
-        monkeypatch.setattr(chaingraph, "_graph_of_images", counted)
+        monkeypatch.setattr(cli, "build_transition_graph", counted)
+        monkeypatch.setattr(chaingraph, "build_transition_graph", counted)
         code, out = run_cli(
             ["mixing", "--spec", rotation_spec, "--nmax", "5", "--format", "machine"], capsys)
         assert code == 0

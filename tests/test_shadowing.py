@@ -41,7 +41,7 @@ from chaindyn import (
     verify_pseudo_orbit,
 )
 from chaindyn.chaingraph import image_successors
-from chaindyn.shadowing import candidate_levels, entourage_holds
+from chaindyn.shadowing import LevelIsobasism, candidate_levels, entourage_holds
 from chaindyn.systems import MapKind, SystemSpec
 from chaindyn.uniform import FinitePhaseSpace, Geometry
 from oracles import (
@@ -802,6 +802,22 @@ class TestIsobasism:
             fx = iterate(s, sp.points[x], 1)
             fy = iterate(s, sp.points[y], 1)
             assert sp.distance(fx, fy) > scale + 1e-9
+        # the floor reads the snapped images: x and x + 8 land on one point
+        assert by_label["diag"].counterexample == (0, 8)
+        assert not by_label["diag"].preserved
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_floor_verdict_does_not_depend_on_the_point_order(self, order):
+        # the sorted floor is a scale-0 ball, the reversed one explicit rows
+        points = circle_grid(8).points
+        if order == "reversed":
+            points = points[::-1]
+        space = FinitePhaseSpace(points, Geometry.CIRCLE, 1 / 8)
+        s = SystemSpec("doubling", MapKind.DOUBLING, space)
+        floor = diagonal_entourage(space)
+        assert (floor.scale is None) == (order == "reversed")
+        report = isobasism_check(s, UniformityBasis((floor,)))
+        assert report.levels == (LevelIsobasism("diag", False, (0, 4)),)
 
     def test_permutation_with_orbit_relation(self):
         s = permutation_system([[0, 1, 2], [3, 4]], 5)

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any
 
 from . import __version__
@@ -334,6 +334,7 @@ def render(report: Report, format: str = "text") -> bytes:
 # entry point
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every request
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaindyn",

@@ -166,8 +166,28 @@ class SystemSpec:
         f^power; "exactly" is tuple equality.
         """
         points, f = self.space.points, self.float_step
+        if self._reads_off():
+            at = range(len(points)) if self.permutation is None else self._index_step()
+            return tuple((points[t], t, 0.0, t) for t in at)
         return self._image_entries(
             iterate(self, p, 1) if f is None else (f(p[0]),) for p in points)
+
+    def _reads_off(self) -> bool:
+        """Whether each image is a grid point t, whose entry reads ``(points[t], t, 0.0, t)``.
+
+        True for the identity and the permutation-backed maps on a space where
+        each point snaps to itself: a sorted one that does not wrap, or an even grid.
+        """
+        space = self.space
+        return (self.kind is MapKind.IDENTITY or self.permutation is not None) and (
+            space._steps is not None or space._sorted is not None and not space._wraps)
+
+    def _index_step(self) -> tuple[int, ...]:
+        """The permutation raised to ``power``: entry i is the index f^power takes i to."""
+        perm = step = self.permutation
+        for _ in range(self.power - 1):
+            step = tuple(perm[i] for i in step)
+        return step
 
     def _image_entries(self, images: Iterable[tuple[float, ...]]) -> ImageTable:
         """The :attr:`grid_images` entries of the given exact images, one per grid point."""
@@ -187,21 +207,21 @@ class SystemSpec:
         image with ``float_step``, which applies f in the same sequence; a
         permutation-backed map steps each index with the permutation raised
         to ``power``, from the grid point's nearest index as :func:`iterate`
-        starts; a many-dimensional identity repeats the table.
+        starts; a many-dimensional or read-off identity repeats the table.
         """
         entries = self.grid_images
         yield self
-        points, f, perm = self.space.points, self.float_step, self.permutation
+        points, f, perm, read_off = (
+            self.space.points, self.float_step, self.permutation, self._reads_off())
         if perm is not None:
-            step = perm
-            for _ in range(self.power - 1):
-                step = tuple(perm[i] for i in step)
-            at = [step[self.space.nearest_index(p)] for p in points]
+            step = self._index_step()
+            at = list(step) if read_off else [step[self.space.nearest_index(p)] for p in points]
         for k in count(2):
             if perm is not None:
                 at = [step[i] for i in at]
-                entries = self._image_entries(points[i] for i in at)
-            elif f is not None:
+                entries = (tuple((points[t], t, 0.0, t) for t in at) if read_off
+                           else self._image_entries(points[i] for i in at))
+            elif f is not None and not read_off:
                 entries = self._image_entries((f(e[0][0]),) for e in entries)
             system = replace(self, power=k * self.power)
             vars(system)["grid_images"] = entries  # the cached_property's slot
@@ -395,11 +415,15 @@ def catalog_systems(n: int) -> tuple[SystemSpec, ...]:
 # spec files
 
 
+#: libyaml's loader when PyYAML has it: same constructor and resolver, same documents.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def parse_spec(path: str) -> dict[str, Any]:
     """The top-level mapping of a YAML spec file, read and parsed once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise MalformedSpecError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

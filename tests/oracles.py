@@ -49,6 +49,28 @@ def nearest_bruteforce(space, coords) -> int:
     return best_i
 
 
+def image_table_bruteforce(system, k: int = 1) -> tuple:
+    """The grid-image table of f^(k * power) for an identity or a permutation-backed map.
+
+    The identity keeps each grid point; a permutation walks k * power steps
+    from the point's nearest index.  Each image goes to its nearest index by
+    :func:`nearest_bruteforce`, with its distance, and with that index again
+    when the image is the grid point exactly, else None.
+    """
+    space, table = system.space, []
+    for p in space.points:
+        image = p
+        if system.permutation is not None:
+            i = nearest_bruteforce(space, p)
+            for _ in range(k * system.power):
+                i = system.permutation[i]
+            image = space.points[i]
+        idx = nearest_bruteforce(space, image)
+        near = space.points[idx]
+        table.append((image, idx, space.distance(image, near), idx if image == near else None))
+    return tuple(table)
+
+
 def successors_bruteforce(d, image) -> list[int]:
     """Indices D-close to an exact image for a metric entourage, by full scans.
 

@@ -484,14 +484,24 @@ class TestOncePerRequest:
     def test_spec_is_parsed_once(self, doubling_spec, capsys, monkeypatch):
         from chaindyn import systems
 
+        # parse_spec makes one yaml.load call per parse, with the module's loader
         calls = []
-        safe_load = systems.yaml.safe_load
+        load = systems.yaml.load
         monkeypatch.setattr(
-            systems.yaml, "safe_load", lambda fh: calls.append(1) or safe_load(fh)
+            systems.yaml, "load",
+            lambda fh, Loader: calls.append(Loader) or load(fh, Loader=Loader),
         )
         code, _ = run_cli(["graph", "--spec", doubling_spec], capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [systems._LOADER]
+
+    def test_one_parser_serves_every_request(self, doubling_spec, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        args = ["graph", "--spec", doubling_spec, "--format", "machine"]
+        _, coarse = run_cli([*args, "--epsilon", "0.25"], capsys)
+        _, default = run_cli(args, capsys)
+        assert json.loads(coarse)["request"]["epsilon"] == 0.25
+        assert json.loads(default)["request"]["epsilon"] == pytest.approx(2 / 64)
 
     def test_full_builds_each_artifact_once(self, doubling_spec, tmp_path, capsys, monkeypatch):
         counts = {}

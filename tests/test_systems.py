@@ -1,7 +1,10 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +32,16 @@ from chaindyn import (
     step,
     tent_system,
 )
-from chaindyn.systems import _separation, grid_permutation, load_analysis_defaults
-from chaindyn.uniform import MAX_POINTS, FinitePhaseSpace
-from oracles import map_bruteforce, odometer_bruteforce, resolution_bruteforce
+from chaindyn import systems as systems_module
+from chaindyn.systems import _separation, grid_permutation, load_analysis_defaults, parse_spec
+from chaindyn.uniform import MAX_POINTS, FinitePhaseSpace, circle_grid, discrete_grid
+from oracles import (
+    image_table_bruteforce,
+    map_bruteforce,
+    odometer_bruteforce,
+    resolution_bruteforce,
+    sorted_list_space,
+)
 
 
 class TestEvaluate:
@@ -447,3 +457,176 @@ class TestCatalog:
     def test_non_power_of_two_drops_odometer(self):
         names = [s.name for s in catalog_systems(24)]
         assert not any(n.startswith("odometer") for n in names)
+
+
+# ---------------------------------------------------------------------------
+# the two YAML loaders
+
+SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.yaml"))
+NO_LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+#: PyYAML's pure-Python loader and, where PyYAML has it, the libyaml one.
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="python"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml", marks=NO_LIBYAML),
+]
+
+
+def _outcome(path, loader, monkeypatch):
+    """parse_spec's document under ``loader``, or its error type and ``(line N)``."""
+    monkeypatch.setattr(systems_module, "_LOADER", loader)
+    try:
+        return parse_spec(path)
+    except MalformedSpecError as exc:
+        line = re.search(r"\(line \d+\)", str(exc))
+        return type(exc), line and line.group()
+
+
+def _scalar():
+    # YAML 1.1 reads 1e-3 as a string, 1:30 as 90 and 0x10 as 16
+    edge = st.sampled_from(["1e-3", "true", "~", "0x10", "1:30", "yes", "017", "-0", ".inf"])
+    floats = st.floats(0.0, 1.0).map(repr)
+    return st.one_of(edge, floats, st.integers(-5, 5000).map(str))
+
+
+@st.composite
+def _spec_texts(draw):
+    """Spec documents of every shape the loader reads, some of them invalid as systems."""
+    scalar = _scalar()
+    geometry = draw(st.sampled_from(["circle", "interval", "discrete"]))
+    lines = [f"name: {draw(st.from_regex(r'[a-z][a-z0-9-]{0,8}', fullmatch=True))}"]
+    shape = draw(st.sampled_from(["grid_n", "odometer", "sorted", "unsorted", "plane"]))
+    coords = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    if shape == "grid_n":
+        lines += ["map: identity", f"geometry: {geometry}", f"grid_n: {draw(scalar)}"]
+    elif shape == "odometer":
+        lines += ["map: odometer", "geometry: discrete", f"params: [{draw(scalar)}]"]
+    elif shape == "plane":
+        pairs = ", ".join(f"[{a!r}, {draw(scalar)}]" for a in coords)
+        lines += ["map: identity", "geometry: product-of-circles", f"points: [{pairs}]"]
+    else:
+        xs = sorted(coords) if shape == "sorted" else coords
+        lines += ["map: permutation", f"geometry: {geometry}", "points:"]
+        lines += [f"  - {x!r}" for x in xs]
+        cycles = draw(st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=3))
+        lines.append(f"cycles: {cycles}")
+    keys = draw(st.lists(st.sampled_from(["epsilon", "seed", "horizon", "format", "x"]),
+                         unique=True, max_size=4))
+    if keys:
+        lines.append("analysis:")
+        lines += [f"  {key}: {draw(scalar)}" for key in keys]
+    return "\n".join(lines) + "\n"
+
+
+class TestSpecLoaders:
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.name)
+    def test_bundled_specs_parse_alike(self, spec, loader, monkeypatch):
+        expected = yaml.load(spec.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+        assert _outcome(str(spec), loader, monkeypatch) == expected
+
+    @NO_LIBYAML
+    @given(_spec_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_specs_parse_alike(self, text):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_yaml_1_1_scalars(self, loader, tmp_path, monkeypatch):
+        p = tmp_path / "edge.yaml"
+        p.write_text("a: 1e-3\nb: true\nc: ~\nd: 0x10\ne: 1:30\nf: 1.0e-3\n")
+        assert _outcome(str(p), loader, monkeypatch) == {
+            "a": "1e-3", "b": True, "c": None, "d": 16, "e": 90, "f": 0.001}
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("text, expected", [
+        ("name: d\nmap: doubling\ngeometry: circle\ngrid_n: [16\n",
+         (MalformedSpecError, "(line 5)")),
+        ("name: d\nmap: doubling\n\tgeometry: circle\ngrid_n: 16\n",
+         (MalformedSpecError, "(line 3)")),
+        ("just a scalar\n", (MalformedSpecError, None)),
+        # both loaders keep the last of two equal keys
+        ("name: d\nname: e\nmap: doubling\n", {"name": "e", "map": "doubling"}),
+    ], ids=["unclosed-bracket", "tab-indent", "bare-scalar", "duplicate-key"])
+    def test_malformed_yaml_fails_alike(self, text, expected, loader, tmp_path, monkeypatch):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        assert _outcome(str(p), loader, monkeypatch) == expected
+
+
+# ---------------------------------------------------------------------------
+# image tables read off the index table
+
+def _coords(min_size=1):
+    return st.lists(st.floats(0.0, 1.0), min_size=min_size, max_size=12)
+
+
+@st.composite
+def _grid_map_systems(draw):
+    """Identity, permutation and odometer systems on the spaces the tables are read off
+    and on those that keep the snaps: wrapping, unsorted, repeated and 2-D lists."""
+    n = draw(st.integers(1, 24))
+    space = draw(st.sampled_from(["interval", "circle", "discrete", "odometer", "cantor",
+                                  "sorted", "wrap", "unsorted", "repeated", "plane"]))
+    if space == "odometer":
+        return odometer_system(draw(st.integers(1, 5)))
+    geometry = draw(st.sampled_from([Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE]))
+    if space in ("interval", "circle", "discrete"):
+        space = {"interval": interval_grid, "circle": circle_grid,
+                 "discrete": discrete_grid}[space](n)
+    elif space == "cantor":
+        space = cantor_space(draw(st.integers(1, 4)))
+    elif space == "sorted":
+        space = sorted_list_space(draw(_coords().map(set)), geometry)
+    elif space == "wrap":  # 1.0 meets 0.0 around the circle
+        coords = sorted({0.0, 1.0, *draw(_coords(0))})
+        space = FinitePhaseSpace(tuple((c,) for c in coords), Geometry.CIRCLE, 0.5)
+    elif space == "plane":
+        pairs = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                              min_size=1, max_size=12))
+        space = FinitePhaseSpace(tuple(pairs), Geometry.PRODUCT_OF_CIRCLES, 0.5)
+    else:
+        coords = draw(_coords(2))
+        if space == "repeated":
+            coords.insert(draw(st.integers(0, len(coords))), draw(st.sampled_from(coords)))
+        else:
+            coords = draw(st.permutations(coords))
+        space = FinitePhaseSpace(tuple((c,) for c in coords), geometry, 0.5)
+    if space.geometry is not Geometry.DISCRETE or draw(st.booleans()):
+        return identity_system(space)
+    perm = tuple(draw(st.permutations(range(space.n))))
+    return replace(permutation_system([], space.n), space=space, permutation=perm)
+
+
+class TestReadOffImageTables:
+    @given(_grid_map_systems(), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_tables_match_the_bruteforce_snaps(self, system, power):
+        system = replace(system, power=power)
+        for k, s in zip(range(1, 7), system.iterates()):
+            expected = repr(image_table_bruteforce(system, k))  # repr keeps -0.0 apart
+            assert repr(s.grid_images) == expected, k
+            assert repr(replace(system, power=k * power).grid_images) == expected, k
+
+    @pytest.mark.parametrize("coords, geometry, indices", [
+        ((0.0, 0.5, 1.0), Geometry.CIRCLE, [0, 1, 0]),  # 1.0 meets 0.0 around the circle
+        ((0.5, 0.0, 1.0), Geometry.INTERVAL, [0, 1, 2]),
+        ((0.0, 0.5, 0.5, 1.0), Geometry.DISCRETE, [0, 1, 1, 3]),  # 0.5 snaps to its first copy
+    ], ids=["wrapping", "unsorted", "repeated"])
+    def test_lists_that_keep_the_snaps(self, coords, geometry, indices):
+        system = identity_system(FinitePhaseSpace(tuple((c,) for c in coords), geometry, 0.5))
+        assert system.grid_images == image_table_bruteforce(system)
+        assert [idx for _, idx, _, _ in system.grid_images] == indices
+
+    def test_read_off_tables_take_no_snap(self, monkeypatch):
+        calls = []
+        snap = FinitePhaseSpace.snap
+        monkeypatch.setattr(
+            FinitePhaseSpace, "snap", lambda self, coords: calls.append(1) or snap(self, coords))
+        for system, snaps in (
+            (permutation_system([list(range(64))], 64), 0),
+            (identity_system(interval_grid(64)), 0),
+            (doubling_system(64), 64),
+        ):
+            calls.clear()
+            assert len(system.grid_images) == 64
+            assert len(calls) == snaps, system.name

@@ -32,7 +32,7 @@ from .chaingraph import (
 from .errors import ChainDynError, InvalidParameterError, ResourceLimitError
 from .recurrence import nonwandering_points, omega_limit
 from .shadowing import DICHOTOMY_LENGTH, disconnectedness_dichotomy, estimate_shadowing_modulus
-from .systems import SystemSpec, load_analysis_defaults, load_system, parse_spec
+from .systems import ANALYSIS_OPTIONS, SystemSpec, load_analysis_defaults, load_system, parse_spec
 from .uniform import (
     MAX_ORBIT_CELLS,
     Entourage,
@@ -247,16 +247,7 @@ _STAGES = {
     "omega": _omega_stage,
 }
 COMMANDS = (*_STAGES, "full")
-
-FULL_ORDER = (
-    "axioms",
-    "graph",
-    "chains",
-    "mixing",
-    "diameter",
-    "shadowing",
-    "recurrence",
-)
+FULL_ORDER = tuple(stage for stage in _STAGES if stage not in ("dichotomy", "omega"))
 
 
 def run(request: AnalysisRequest) -> Report:
@@ -334,6 +325,16 @@ def render(report: Report, format: str = "text") -> bytes:
 # entry point
 
 
+#: What a flag shows beyond its name, type and default (see ``ANALYSIS_OPTIONS``).
+_FLAG_EXTRAS: dict[str, dict[str, Any]] = {
+    "basis": {"metavar": "K_LEVELS"},
+    "x": {"help": "base point for omega"},
+    "format": {"choices": ("text", "machine")},
+    "out": {"help": "write the report here"},
+    "dump_graph": {"metavar": "PATH", "help": "write the transition graph as 'src dst' lines"},
+}
+
+
 @cache  # parse_args leaves the parser as it was, so one serves every request
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -342,29 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--spec", required=True, help="system spec file (YAML)")
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--basis", type=int, default=None, metavar="K_LEVELS")
-    parser.add_argument("--horizon", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--nmax", type=int, default=None)
-    parser.add_argument("--x", type=int, default=None, help="base point for omega")
-    parser.add_argument("--format", choices=("text", "machine"), default=None)
-    parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument(
-        "--dump-graph", default=None, metavar="PATH",
-        help="write the transition graph as 'src dst' lines",
-    )
+    for key, (kind, _) in ANALYSIS_OPTIONS.items():
+        # None marks an option the command line leaves to the spec or the default
+        parser.add_argument(
+            "--" + key.replace("_", "-"), type=kind, default=None, **_FLAG_EXTRAS.get(key, {}))
     return parser
-
-
-def _pick(flag: Any, file_defaults: dict[str, Any], key: str, fallback: Any) -> Any:
-    # flag overrides file; file overrides the built-in default
-    if flag is not None:
-        return flag
-    if key in file_defaults and file_defaults[key] is not None:
-        return file_defaults[key]
-    return fallback
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -373,16 +356,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         document = parse_spec(args.spec)
         system = load_system(args.spec, document)
-        defaults = load_analysis_defaults(args.spec, document)
-        epsilon = _pick(args.epsilon, defaults, "epsilon", 2 * system.space.resolution)
-        _check_epsilon(epsilon)  # every command echoes it, so even one that never uses it
-        seed = _pick(args.seed, defaults, "seed", None)
-        if args.command in STOCHASTIC_COMMANDS and seed is None:
+        # a flag overrides the spec's analysis table, which overrides the built-in default
+        opt = {key: default for key, (_, default) in ANALYSIS_OPTIONS.items()}
+        opt["epsilon"] = 2 * system.space.resolution
+        for given in (load_analysis_defaults(args.spec, document), vars(args)):
+            opt.update((k, v) for k, v in given.items() if k in opt and v is not None)
+        _check_epsilon(opt["epsilon"])  # every command echoes it, so even one that never uses it
+        if args.command in STOCHASTIC_COMMANDS and opt["seed"] is None:
             parser.error(f"--seed is required for '{args.command}' (no wall-clock default)")
-        horizon = _pick(args.horizon, defaults, "horizon", 100)
-        basis = _pick(args.basis, defaults, "basis", 8)
-        trials = _pick(args.trials, defaults, "trials", 20)
-        n_max = _pick(args.nmax, defaults, "nmax", 4)
+        horizon, basis, trials, n_max = opt["horizon"], opt["basis"], opt["trials"], opt["nmax"]
         n, orbit = system.space.n, DICHOTOMY_LENGTH if args.command == "dichotomy" else horizon
         for flag, value, cost, what in (
             ("--horizon", horizon, n * horizon, "orbit cells (n x horizon)"),
@@ -398,28 +380,16 @@ def main(argv: list[str] | None = None) -> int:
                     f"{flag} {value} on {n} points exceeds the cap of {MAX_ORBIT_CELLS} {what}"
                 )
         request = AnalysisRequest(
-            system=system,
-            command=args.command,
-            epsilon=epsilon,
-            basis_levels=basis,
-            horizon=horizon,
-            trials=trials,
-            seed=seed,
-            n_max=n_max,
-            x=_pick(args.x, defaults, "x", 0),
-        )
+            system, args.command, opt["epsilon"], basis_levels=basis, horizon=horizon,
+            trials=trials, seed=opt["seed"], n_max=n_max, x=opt["x"])
         report = run(request)
-        payload = render(
-            report, _pick(args.format, defaults, "format", "text")
-        )
-        dump_graph = _pick(args.dump_graph, defaults, "dump_graph", None)
-        if dump_graph is not None:
-            with open(dump_graph, "w", encoding="utf-8") as fh:
+        payload = render(report, opt["format"])
+        if opt["dump_graph"] is not None:
+            with open(opt["dump_graph"], "w", encoding="utf-8") as fh:
                 for src, dst in request.graph.edges():
                     fh.write(f"{src} {dst}\n")
-        out = _pick(args.out, defaults, "out", None)
-        if out is not None:
-            with open(out, "wb") as fh:
+        if opt["out"] is not None:
+            with open(opt["out"], "wb") as fh:
                 fh.write(payload)
         else:
             sys.stdout.buffer.write(payload)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, count
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 import yaml
 
@@ -175,12 +175,11 @@ class SystemSpec:
     def _reads_off(self) -> bool:
         """Whether each image is a grid point t, whose entry reads ``(points[t], t, 0.0, t)``.
 
-        True for the identity and the permutation-backed maps on a space where
-        each point snaps to itself: a sorted one that does not wrap, or an even grid.
+        True for the identity and the permutation-backed maps on a sorted space,
+        where each point snaps to itself.
         """
-        space = self.space
         return (self.kind is MapKind.IDENTITY or self.permutation is not None) and (
-            space._steps is not None or space._sorted is not None and not space._wraps)
+            self.space._sorted is not None)
 
     def _index_step(self) -> tuple[int, ...]:
         """The permutation raised to ``power``: entry i is the index f^power takes i to."""
@@ -498,6 +497,10 @@ def _build_space(doc: dict[str, Any], geometry: Geometry) -> FinitePhaseSpace:
     raise ValidationError("grid_n or points required")
 
 
+#: The top-level keys of a spec file.
+_SPEC_KEYS = ("name", "map", "geometry", "grid_n", "points", "params", "cycles", "analysis")
+
+
 def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec:
     """Load and validate a system spec from a YAML document.
 
@@ -505,10 +508,12 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
     ``points``.  Scalar parameters go under ``params``; permutations under
     ``cycles``.  Parse failures raise :class:`MalformedSpecError` with line
     information; invariant violations raise :class:`ValidationError`
-    naming the offending field.  ``document``, when given, is the already
-    parsed content of ``path``, and the file is not read again.
+    naming the offending field, or any other top-level key.  ``document``,
+    when given, is the already parsed content of ``path``, and the file is
+    not read again.
     """
     doc = parse_spec(path) if document is None else document
+    _check_keys(doc, _SPEC_KEYS)
     for key in ("name", "map", "geometry"):
         if key not in doc:
             raise ValidationError(f"{key} is required")
@@ -546,9 +551,14 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
     return SystemSpec(name, kind, space, params)
 
 
-#: The type of each CLI flag default an ``analysis`` table may set.
-_ANALYSIS_TYPES = {"epsilon": float, "format": str, "out": str, "dump_graph": str}
-_ANALYSIS_TYPES.update(dict.fromkeys(("basis", "horizon", "trials", "seed", "nmax", "x"), int))
+#: Every request option, in the CLI's flag order: its type and built-in default.
+#: The flags, the ``analysis`` table's keys and the request's starting values all
+#: come from here; epsilon's default is None because it is 2h of the loaded space.
+ANALYSIS_OPTIONS: dict[str, tuple[type, Any]] = {
+    "epsilon": (float, None), "basis": (int, 8), "horizon": (int, 100), "trials": (int, 20),
+    "seed": (int, None), "nmax": (int, 4), "x": (int, 0),
+    "format": (str, "text"), "out": (str, None), "dump_graph": (str, None),
+}
 
 
 def load_analysis_defaults(
@@ -565,11 +575,16 @@ def load_analysis_defaults(
         return {}
     if not isinstance(table, dict):
         raise ValidationError("analysis must be a mapping")
-    for key in table:
-        if key not in _ANALYSIS_TYPES:
-            raise ValidationError(
-                f"unknown key analysis.{key}; known keys: {', '.join(sorted(_ANALYSIS_TYPES))}")
-    for key, kind in _ANALYSIS_TYPES.items():
+    _check_keys(table, ANALYSIS_OPTIONS, "analysis.")
+    for key, (kind, _) in ANALYSIS_OPTIONS.items():
         if table.get(key) is not None:
             table[key] = _typed(table[key], kind, f"analysis.{key}")
     return table
+
+
+def _check_keys(table: dict[str, Any], known: Collection[str], prefix: str = "") -> None:
+    """Raise :class:`ValidationError` naming the first key of ``table`` not in ``known``."""
+    for key in table:
+        if key not in known:
+            raise ValidationError(
+                f"unknown key {prefix}{key}; known keys: {', '.join(sorted(known))}")

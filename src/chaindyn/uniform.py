@@ -100,7 +100,7 @@ class FinitePhaseSpace:
     geometry: Geometry
     resolution: float
     gap: float | None = None
-    #: Coordinates the point lookups bisect; None unless 1-D and well sorted.
+    #: Coordinates the point lookups bisect; None unless 1-D, ascending and free of repeats.
     _sorted: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
     #: ``geometry.wraps``, read once.
     _wraps: bool = field(init=False, compare=False, repr=False)
@@ -129,7 +129,10 @@ class FinitePhaseSpace:
                         "consecutive sample points must be within 2h"
                     )
         xs = tuple(p[0] for p in self.points) if dim == 1 else ()
-        if any(b - a <= 1e3 * COMPARISON_SLACK for a, b in zip(xs, xs[1:])):
+        # a repeated point leaves the lookups to the scan; on the circle the last
+        # point also neighbours the first, one turn on, so 0.0 and 1.0 repeat
+        nexts = (*xs[1:], xs[0] + 1.0) if xs and self._wraps else xs[1:]
+        if any(b - a <= 1e3 * COMPARISON_SLACK for a, b in zip(xs, nexts)):
             xs = ()
         object.__setattr__(self, "_sorted", xs or None)
 

@@ -49,12 +49,36 @@ r-ball at x returns to that ball at t = 1, so every grid point within r
 of 0 or of 1 is in the estimate.  An outer approximation at ball
 radius 2h is necessarily wider than h: the computed estimate reaches 6h
 from the repelling fixed point, inside that window.
+
+Criterion 10: chain mixing and total chain transitivity at two scales.
+The paper's theorem (a compact system is chain mixing iff it is totally
+chain transitive) fails at one shared scale on the model: doubling-64 at
+2h is chain mixing, but f^3 sends the grid to every 8th point, so 24 of
+the 64 vertices of the graph of f^3 at 2h have no in-edge.  The model
+meets it in two scales, with omega as above and rho = h/2 the largest
+snap distance.
+
+* (A) A walk x_0 -> ... -> x_k in the graph of f at r ends within
+  R_k of f^k(x_0), where R_1 = r and R_k = omega(R_{k-1}) + r.  So the
+  k-th walk power of that graph lies in the graph of f^k at R_k.  Every
+  walk power of a chain mixing graph is strongly connected (criterion 1),
+  so if the graph of f at r is mixing, the graph of f^k at R_k is chain
+  transitive.
+* (B) For an edge x -> y of the graph of f^p at r, the snapped orbit
+  x, s_1, ..., s_{p-1}, y is a walk in the graph of f at
+  r' = max(r, rho) + omega(rho).  So the graph of f^p at r lies in the
+  p-th walk power of the graph of f at r', which splits into p classes
+  when p is that graph's period.  If the graphs of f^k at r are chain
+  transitive for every k <= nmax, the graph of f at r' is chain
+  transitive with period 1 or greater than nmax.
 """
 
 import json
 import math
 import random
 import time
+from functools import partial
+from itertools import islice
 
 from chaindyn import (
     GOLDEN_ALPHA,
@@ -86,7 +110,13 @@ from chaindyn import (
 )
 from chaindyn.chaingraph import ChainAnalysis
 from chaindyn.uniform import COMPARISON_SLACK
-from oracles import chain_scale, gcd_of, loop_lengths_bruteforce, random_strongly_connected
+from oracles import (
+    chain_scale,
+    continuity_modulus,
+    gcd_of,
+    loop_lengths_bruteforce,
+    random_strongly_connected,
+)
 
 
 def report(num: int, description: str, ok: bool) -> bool:
@@ -399,4 +429,58 @@ def test_criterion_9_report_determinism(tmp_path, monkeypatch):
     json.loads(payloads[0])  # well-formed machine document
     assert report(
         9, "full doubling report byte-identical across runs and thread counts", ok
+    )
+
+
+def test_criterion_10_mixing_iff_totally_transitive_at_two_scales():
+    # (A) and (B) of the module docstring on the catalog, and the golden
+    # request's same-scale disagreement pinned as a fact about the model
+    start, n_max, failures, counts = time.monotonic(), 4, [], {}
+    for n in (16, 64):
+        mixing_count = totally_count = 0
+        for system in catalog_systems(n):
+            space, h = system.space, system.space.resolution
+            powers = list(islice(system.iterates(), n_max))
+            omega = partial(continuity_modulus, system)
+
+            def analysis(k, scale, powers=powers, space=space):
+                d = make_epsilon_entourage(space, scale)
+                return ChainAnalysis.from_graph(build_transition_graph(powers[k - 1], d))
+
+            for r in (h / 2, h, 2 * h, 0.1):
+                first = analysis(1, r)
+                mixing = first.transitive and first.periods[0] == 1
+                totally = all(analysis(k, r).transitive for k in range(1, n_max + 1))
+                mixing_count += mixing
+                totally_count += totally
+                scale = r
+                for k in range(1, n_max + 1) if mixing else ():
+                    scale = r if k == 1 else omega(scale) + r
+                    if not analysis(k, scale).transitive:
+                        failures.append((system.name, n, r, f"(A) f^{k} at {scale:g}"))
+                if totally:
+                    coarse = analysis(1, max(r, h / 2) + omega(h / 2))
+                    period = coarse.periods[0]
+                    if not (coarse.transitive and (period == 1 or period > n_max)):
+                        failures.append((system.name, n, r, f"(B) period {period}"))
+        counts[n] = (mixing_count, totally_count)
+        if not (mixing_count and totally_count):
+            failures.append(("catalog", n, None, f"vacuous: {counts[n]}"))
+    doubling = doubling_system(64)
+    d = make_epsilon_entourage(doubling.space, 2 * doubling.space.resolution)
+    graphs = [build_transition_graph(s, d) for s in islice(doubling.iterates(), n_max)]
+    sources = [{y for row in g.succ for y in row} for g in graphs]
+    pinned = (is_chain_mixing(graphs[0]), [is_chain_transitive(g) for g in graphs],
+              [64 - len(hit) for hit in sources])
+    if pinned != (True, [True, True, False, False], [0, 0, 24, 44]):
+        failures.append(("doubling", 64, "2h", f"same-scale pair {pinned}"))
+    elapsed = time.monotonic() - start
+    assert report(
+        10,
+        f"mixing at r => f^k transitive at R_k; f^k transitive at r for k <= {n_max} => "
+        f"f transitive at max(r, h/2) + omega(h/2), period 1 or > {n_max} "
+        f"(mixing, totally transitive per n: {counts}); doubling-64 at 2h mixing, "
+        f"f^3 and f^4 not transitive, {pinned[2][2:]} vertices without in-edge "
+        f"({elapsed:.2f} s, {len(failures)} violations: {failures})",
+        not failures and elapsed <= 5.0,
     )

@@ -348,6 +348,10 @@ class TestErrorsAndDefaults:
                 "map: doubling\ngeometry: circle\ngrid_n: 16\nanalysis: {horizn: 50, sed: 3}\n",
                 "analysis.horizn",
             ),
+            (  # a misspelt table is refused, not dropped
+                "map: doubling\ngeometry: circle\ngrid_n: 16\nanalyis: {seed: 7, horizon: 50}\n",
+                "unknown key analyis",
+            ),
             ("map: identity\ngeometry: interval\ngrid_n: true\n", "grid_n"),
             ("map: permutation\ngeometry: circle\ngrid_n: 4\ncycles: [[0, 1]]\n", "geometry"),
         ],
@@ -357,7 +361,7 @@ class TestErrorsAndDefaults:
         code = cli.main(["recurrence", "--spec", spec])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ValidationError:")
+        assert err.startswith("error: ValidationError:") and err.count("\n") == 1
         assert field in err
 
     @pytest.mark.parametrize(
@@ -478,6 +482,67 @@ class TestErrorsAndDefaults:
         )
         doc = json.loads(out)
         assert doc["request"]["epsilon"] == pytest.approx(2 / 64)
+
+
+#: Per request option: its built-in default, a table value and a flag value, all distinct
+#: where the option allows (on doubling-16, where the default epsilon 2h is 0.125).
+OPTION_VALUES = {
+    "epsilon": (0.125, 0.25, 0.375),
+    "basis": (8, 6, 5),
+    "horizon": (100, 40, 30),
+    "trials": (20, 4, 3),
+    "seed": (None, 5, 9),
+    "nmax": (4, 3, 2),
+    "x": (0, 1, 2),
+    "format": ("text", "machine", "text"),
+    "out": (None, "table.txt", "flag.txt"),
+    "dump_graph": (None, "table.txt", "flag.txt"),
+}
+
+
+class TestRequestOptions:
+    """Each option comes from its flag, else the spec's analysis table, else its default."""
+
+    @staticmethod
+    def effective(key, table, flag, tmp_path, capsys):
+        """The value of option ``key`` in a graph request, as its report or files show it."""
+        run = tmp_path / str(len(list(tmp_path.iterdir())))
+        run.mkdir()
+        files = key in ("out", "dump_graph")  # their values name files in the run's folder
+        text = "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 16\n"
+        if table is not None:
+            value = "~" if table == "~" else json.dumps(str(run / table) if files else table)
+            text += f"analysis: {{{key}: {value}}}\n"
+        argv = ["graph", "--spec", write_spec(run, text, name="spec.yaml")]
+        if key != "format":
+            argv += ["--format", "machine"]
+        if flag is not None:
+            argv += ["--" + key.replace("_", "-"), str(run / flag if files else flag)]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        if key == "format":
+            return "machine" if out.startswith("{") else "text"
+        if files:
+            written = [f.name for f in run.iterdir() if f.name != "spec.yaml"]
+            assert len(written) <= 1 and (out == "") == (key == "out" and written != [])
+            return written[0] if written else None
+        return json.loads(out)["request"][{"basis": "basis_levels", "nmax": "n_max"}.get(key, key)]
+
+    @pytest.mark.parametrize("key", list(OPTION_VALUES))
+    def test_flag_then_table_then_default(self, key, tmp_path, capsys):
+        default, table, flag = OPTION_VALUES[key]
+        assert self.effective(key, None, None, tmp_path, capsys) == default
+        assert self.effective(key, table, None, tmp_path, capsys) == table
+        assert self.effective(key, table, flag, tmp_path, capsys) == flag
+        assert self.effective(key, "~", None, tmp_path, capsys) == default
+
+    def test_flags_are_the_option_table(self):
+        from chaindyn.systems import ANALYSIS_OPTIONS
+
+        parser = cli._build_parser()
+        flags = [a.dest for a in parser._actions if a.option_strings]
+        assert flags == ["help", "spec", *ANALYSIS_OPTIONS]
+        assert list(OPTION_VALUES) == list(ANALYSIS_OPTIONS)
 
 
 class TestOncePerRequest:

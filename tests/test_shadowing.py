@@ -54,14 +54,19 @@ from test_uniform import sorted_spaces
 
 CATALOG = {n: catalog_systems(n) for n in (8, 16)}
 
-# Irregular sorted lists; on the circle 0.0 and 1.0 are one point listed twice.
+# Irregular sorted lists; on the circle 0.0 and 1.0 are one point listed twice,
+# so that list keeps the full scan, and the same list without 1.0 is sorted.
 IRREGULAR = (0.0, 0.1, 0.25, 0.3, 0.45, 0.6, 0.7, 0.85, 1.0)
 IRREGULAR_CIRCLE = sorted_list_space(IRREGULAR, Geometry.CIRCLE)
+SORTED_IRREGULAR_CIRCLE = sorted_list_space(IRREGULAR[:-1], Geometry.CIRCLE)
 ORBIT_SYSTEMS = (
     *CATALOG[16],
     *catalog_systems(33),
     SystemSpec("rotation-list", MapKind.ROTATION, IRREGULAR_CIRCLE, (0.3819660112501051,)),
     SystemSpec("doubling-list", MapKind.DOUBLING, IRREGULAR_CIRCLE),
+    SystemSpec("rotation-sorted-list", MapKind.ROTATION, SORTED_IRREGULAR_CIRCLE,
+               (0.3819660112501051,)),
+    SystemSpec("doubling-sorted-list", MapKind.DOUBLING, SORTED_IRREGULAR_CIRCLE),
     SystemSpec("square-list", MapKind.SQUARE, sorted_list_space(IRREGULAR, Geometry.INTERVAL)),
     identity_system(sorted_list_space(IRREGULAR, Geometry.DISCRETE)),
 )

@@ -27,9 +27,16 @@ from chaindyn import (
     refining_entourage,
     verify_uniformity_axioms,
 )
-from chaindyn.systems import catalog_systems
+from chaindyn.chaingraph import build_transition_graph, image_successors
+from chaindyn.systems import MapKind, SystemSpec, catalog_systems
 from chaindyn.uniform import COMPARISON_SLACK, arc_indices, mask_indices, run_mask
-from oracles import ball_bruteforce, nearest_bruteforce, sorted_list_space, within_bruteforce
+from oracles import (
+    ball_bruteforce,
+    nearest_bruteforce,
+    sorted_list_space,
+    successors_bruteforce,
+    within_bruteforce,
+)
 
 
 def relation_pairs(e):
@@ -138,8 +145,10 @@ class TestEpsilonEntourage:
 
 
 # Irregular sorted coordinates with max gap 0.15; on the circle 0.0 and 1.0
-# are one point listed twice.
+# are one point listed twice, so that list keeps the full scan, and the same
+# list without 1.0 is the sorted irregular circle.
 IRREGULAR = (0.0, 0.1, 0.25, 0.3, 0.45, 0.6, 0.7, 0.85, 1.0)
+IRREGULAR_CIRCLE = FinitePhaseSpace(tuple((c,) for c in IRREGULAR[:-1]), Geometry.CIRCLE, 0.075)
 SNAP_SPACES = (
     *(grid(n) for n in (1, 2, 3, 4, 5, 7, 8, 16, 33)
       for grid in (interval_grid, circle_grid, discrete_grid)),
@@ -147,9 +156,15 @@ SNAP_SPACES = (
     *(odometer_system(levels).space for levels in (1, 3, 6)),
     *(FinitePhaseSpace(tuple((c,) for c in IRREGULAR), geometry, 0.075)
       for geometry in (Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE)),
+    IRREGULAR_CIRCLE,
     # unsorted: keeps the full scan
     FinitePhaseSpace(((0.5,), (0.0,), (0.9,), (0.2,)), Geometry.DISCRETE, 0.1, gap=0.1),
 )
+
+
+def space_id(space):
+    """Geometry and size; the sorted irregular circle is told apart from ``circle_grid(8)``."""
+    return f"{space.geometry.value}-{space.n}" + ("-list" if space is IRREGULAR_CIRCLE else "")
 
 
 def structured_probes(space):
@@ -172,7 +187,7 @@ def snap_radii(space):
 class TestSnapIndex:
     """nearest_index, snap_value and indices_within agree with the full scan."""
 
-    @pytest.mark.parametrize("space", SNAP_SPACES, ids=lambda s: f"{s.geometry.value}-{s.n}")
+    @pytest.mark.parametrize("space", SNAP_SPACES, ids=space_id)
     def test_structured_probes_match_scan(self, space):
         for c in structured_probes(space):
             i = nearest_bruteforce(space, (c,))
@@ -221,12 +236,18 @@ SORTED_SNAP_SPACES = tuple(s for s in SNAP_SPACES if make_epsilon_entourage(s, 1
 
 @st.composite
 def sorted_spaces(draw):
-    """A bundled sorted space, or a random sorted list (often holding 0.0 and 1.0)."""
+    """A bundled sorted space, or a random sorted list (often holding 0.0 and 1.0).
+
+    On the circle 0.0 and 1.0 are one point, so a circle list holds at most
+    one of them: a list holding both has no sorted view.
+    """
     if draw(st.booleans()):
         return draw(st.sampled_from(SORTED_SNAP_SPACES))
     ends = {0, 10**6} if draw(st.booleans()) else set()
     ks = draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=24)) | ends
     geometry = draw(st.sampled_from((Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE)))
+    if geometry is Geometry.CIRCLE and {0, 10**6} <= ks:
+        ks.discard(draw(st.sampled_from((0, 10**6))))
     return sorted_list_space([k / 10**6 for k in ks], geometry)
 
 
@@ -249,8 +270,8 @@ def radius(data, space):
 class TestIntervalEntourage:
     """Metric entourages stored as index intervals agree with the full scans."""
 
-    @pytest.mark.parametrize(
-        "space", SORTED_SNAP_SPACES, ids=lambda s: f"{s.geometry.value}-{s.n}")
+    # the sorted spaces read runs; the rest, lists with a repeated point among them, scan
+    @pytest.mark.parametrize("space", SNAP_SPACES, ids=space_id)
     def test_structured_radii_match_ball_scan(self, space):
         for r in entourage_radii(space):
             e = make_epsilon_entourage(space, r)
@@ -334,8 +355,9 @@ class TestIntervalEntourage:
         self.assert_staircase_queries(space, entourage_radii(space))
 
     def test_full_ball_below_radius_half_is_a_staircase(self):
-        space = sorted_list_space([0.0, 0.250174, 0.47553, 0.531069, 0.622827, 1.0],
-                                  Geometry.CIRCLE)
+        space = sorted_list_space([0.0, 0.250174, 0.47553, 0.531069, 0.622827], Geometry.CIRCLE)
+        # row 4 is full below radius 1/2: the run 1..5 wraps round to index 0
+        assert make_epsilon_entourage(space, 0.377173).arcs[4] == (1, 5)
         self.assert_staircase_queries(space, [0.377173])
 
     def test_empty_off_grid_ball(self):
@@ -378,6 +400,44 @@ def without_half_width(e):
     sp = e.space
     copy = FinitePhaseSpace(sp.points, sp.geometry, sp.resolution, sp.gap)
     return Entourage(copy, e._rows, e.label, e.scale)
+
+
+class TestWrapRepeatedLists:
+    """A circle list holding both 0.0 and 1.0 lists one point twice, so it has no sorted view."""
+
+    LISTS = ([0.0, 0.25, 0.5, 0.75, 1.0], [k / 16 for k in range(17)], [k / 40 for k in range(41)])
+
+    @pytest.mark.parametrize("coords", LISTS, ids=lambda c: f"circle-{len(c)}")
+    def test_lookups_rows_and_graphs_match_the_scans(self, coords):
+        space = sorted_list_space(coords, Geometry.CIRCLE)
+        assert space._sorted is None
+        h = space.resolution
+        for c in structured_probes(space):
+            i = nearest_bruteforce(space, (c,))
+            assert space.snap((c,)) == (i, space.distance((c,), space.points[i])), c
+        systems = [SystemSpec("rotation", MapKind.ROTATION, space, (0.3,)),
+                   SystemSpec("doubling", MapKind.DOUBLING, space),
+                   SystemSpec("identity", MapKind.IDENTITY, space)]
+        for r in (h / 2, h, 2 * h, 0.1):
+            d = make_epsilon_entourage(space, r)
+            assert [set(row) for row in d.rows] == [
+                ball_bruteforce(space, i, r) for i in range(space.n)], r
+            for system in systems:
+                assert [list(row) for row in build_transition_graph(system, d).succ] == [
+                    successors_bruteforce(d, e[0]) for e in system.grid_images], (system.name, r)
+        # the floor relates each point to itself, and an image to its nearest point
+        floor = diagonal_entourage(space)
+        assert floor.rows == tuple(frozenset({i}) for i in range(space.n))
+        for system in systems:
+            assert [list(row) for row in build_transition_graph(system, floor).succ] == [
+                [nearest_bruteforce(space, e[0])] for e in system.grid_images], system.name
+
+    def test_the_floor_answers_one_way(self):
+        # the last point is the first one turn on: the floor row of 0.0 holds 0.0 alone,
+        # and 0.0 snaps to it rather than to its copy at 1.0
+        floor = diagonal_entourage(sorted_list_space(self.LISTS[0], Geometry.CIRCLE))
+        assert floor.row(0) == [0]
+        assert image_successors(floor, (0.0,)) == (0,)
 
 
 GRID_DELTAS = (0.0, COMPARISON_SLACK / 2, COMPARISON_SLACK, 2 * COMPARISON_SLACK)

@@ -128,50 +128,48 @@ def build_transition_graph(system: SystemSpec, d: Entourage) -> TransitionGraph:
 
 
 def strongly_connected_components(g: TransitionGraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Components sorted by smallest member."""
-    n = g.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    """Tarjan's algorithm, iterative.  Components sorted by smallest member.
+
+    A DFS frame is a vertex and an iterator over its row; a vertex is
+    numbered when its frame first runs, from 1, so index 0 is "not visited".
+    """
+    succ = g.succ
+    index = [0] * g.n
+    low = [0] * g.n
+    on_stack = [False] * g.n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    for root in range(n):
-        if index[root] != -1:
+    for root in range(g.n):
+        if index[root]:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
+            v, row = work[-1]
+            if not index[v]:  # a new frame
                 counter += 1
+                index[v] = low[v] = counter
                 stack.append(v)
                 on_stack[v] = True
-            recurse = False
-            row = g.succ[v]
-            for i in range(pi, len(row)):
-                w = row[i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+            for w in row:
+                if not index[w]:
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
     comps.sort(key=lambda c: c[0])
     return comps
 

@@ -32,7 +32,14 @@ from .chaingraph import (
 from .errors import ChainDynError, InvalidParameterError, ResourceLimitError
 from .recurrence import nonwandering_points, omega_limit
 from .shadowing import DICHOTOMY_LENGTH, disconnectedness_dichotomy, estimate_shadowing_modulus
-from .systems import ANALYSIS_OPTIONS, SystemSpec, load_analysis_defaults, load_system, parse_spec
+from .systems import (
+    ANALYSIS_OPTIONS,
+    REPORT_FORMATS,
+    SystemSpec,
+    load_analysis_defaults,
+    load_system,
+    parse_spec,
+)
 from .uniform import (
     MAX_ORBIT_CELLS,
     Entourage,
@@ -329,7 +336,7 @@ def render(report: Report, format: str = "text") -> bytes:
 _FLAG_EXTRAS: dict[str, dict[str, Any]] = {
     "basis": {"metavar": "K_LEVELS"},
     "x": {"help": "base point for omega"},
-    "format": {"choices": ("text", "machine")},
+    "format": {"choices": REPORT_FORMATS},
     "out": {"help": "write the report here"},
     "dump_graph": {"metavar": "PATH", "help": "write the transition graph as 'src dst' lines"},
 }

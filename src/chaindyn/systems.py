@@ -38,6 +38,7 @@ from .errors import (
     check_count,
 )
 from .uniform import (
+    COMPARISON_SLACK,
     MAX_ORBIT_CELLS,
     MAX_POINTS,
     FinitePhaseSpace,
@@ -445,6 +446,8 @@ def _typed(value: Any, kind: type, what: str) -> Any:
 
 def _space_from_points(raw_points: Any, geometry: Geometry) -> FinitePhaseSpace:
     points = _typed(raw_points, list, "points")
+    if not points:
+        raise ValidationError("points must list at least one point")
     _check_grid_size(len(points))
     tup = tuple(
         tuple(_typed(c, float, "points coordinate") for c in (p if isinstance(p, list) else [p]))
@@ -541,6 +544,11 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
         return odometer_system(levels, name=name)
     space = _build_space(doc, geometry)
     if kind == MapKind.PERMUTATION:
+        # a lookup answers the earlier of two points within the slack, so orbit walks
+        # would move the later one by its twin's cycle, not by its own
+        if space.resolution <= COMPARISON_SLACK or len(set(space.points)) < space.n:
+            raise ValidationError(
+                f"points of a permutation must lie more than {COMPARISON_SLACK:g} apart")
         cycles = doc.get("cycles")
         if not isinstance(cycles, list):
             raise ValidationError("cycles is required for permutation maps")
@@ -560,6 +568,9 @@ ANALYSIS_OPTIONS: dict[str, tuple[type, Any]] = {
     "format": (str, "text"), "out": (str, None), "dump_graph": (str, None),
 }
 
+#: The values of the ``format`` option: the flag's choices and the ``analysis`` table's.
+REPORT_FORMATS = ("text", "machine")
+
 
 def load_analysis_defaults(
     path: str, document: dict[str, Any] | None = None
@@ -567,7 +578,8 @@ def load_analysis_defaults(
     """The optional ``analysis`` table of a spec file (CLI flag defaults), type-checked.
 
     A key that sets no flag is a :class:`ValidationError`, so a typo is not
-    silently ignored.  ``document`` is as for :func:`load_system`.
+    silently ignored, and so is a ``format`` not in :data:`REPORT_FORMATS`,
+    before any stage runs.  ``document`` is as for :func:`load_system`.
     """
     doc = parse_spec(path) if document is None else document
     table = doc.get("analysis", {})
@@ -579,6 +591,9 @@ def load_analysis_defaults(
     for key, (kind, _) in ANALYSIS_OPTIONS.items():
         if table.get(key) is not None:
             table[key] = _typed(table[key], kind, f"analysis.{key}")
+    if table.get("format") not in (None, *REPORT_FORMATS):
+        raise ValidationError(
+            f"analysis.format must be one of {', '.join(REPORT_FORMATS)}, got {table['format']!r}")
     return table
 
 

@@ -244,6 +244,53 @@ def chain_recurrent_bruteforce(g: TransitionGraph) -> set[int]:
     return {v for v in range(g.n) if on_cycle_bruteforce(g, v)}
 
 
+def kosaraju(g: TransitionGraph) -> list[list[int]]:
+    """Strong components by Kosaraju: finish order on g, then sweeps on the transpose.
+
+    Each component sorted, the list sorted by smallest member; no recursion.
+    """
+    order = []
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        stack = [(root, iter(g.succ[root]))]
+        seen[root] = True
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(g.succ[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                order.append(v)
+                stack.pop()
+    pred = [[] for _ in range(g.n)]
+    for x, row in enumerate(g.succ):
+        for y in row:
+            pred[y].append(x)
+    comp = [-1] * g.n
+    comps = []
+    for root in reversed(order):
+        if comp[root] != -1:
+            continue
+        bucket = [root]
+        comp[root] = len(comps)
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            for w in pred[v]:
+                if comp[w] == -1:
+                    comp[w] = len(comps)
+                    bucket.append(w)
+                    frontier.append(w)
+        comps.append(sorted(bucket))
+    return sorted(comps)
+
+
 def reach_masks(g: TransitionGraph) -> list[int]:
     return [sum(1 << w for w in row) for row in g.succ]
 

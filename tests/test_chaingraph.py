@@ -12,6 +12,7 @@ from chaindyn import (
     GOLDEN_ALPHA,
     NoCoprimeCyclesError,
     NoCycleError,
+    TransitionGraph,
     UndefinedDiameterError,
     build_transition_graph,
     catalog_systems,
@@ -39,9 +40,11 @@ from chaindyn import (
     strongly_connected_components,
 )
 from chaindyn import chaingraph
+from chaindyn.uniform import COMPARISON_SLACK
 from oracles import (
     chain_recurrent_bruteforce,
     gcd_of,
+    kosaraju,
     loop_lengths_bruteforce,
     path_is_chain,
     random_strongly_connected,
@@ -346,7 +349,8 @@ def points_systems(draw):
     Interval and circle lists have neighbour gaps of one or two units, so
     neighbours lie within 2h, in ascending or descending order (an unsorted
     space); discrete lists may repeat a point; product-of-circles lists are
-    two-dimensional and carry the identity.
+    two-dimensional and carry the identity.  A discrete list of distinct
+    points may carry a permutation instead.
     """
     geometry = draw(st.sampled_from(("interval", "circle", "discrete", "product-of-circles")))
     n = draw(st.integers(1, 24))
@@ -357,7 +361,8 @@ def points_systems(draw):
     elif geometry == "discrete":
         coord = st.floats(0.0, 1.0) | st.integers(0, 8).map(lambda k: k / 8)
         points = draw(st.lists(coord, min_size=n, max_size=n))
-        if draw(st.booleans()):
+        xs = sorted(points)  # the loader refuses a permutation over points within the slack
+        if all(b - a > COMPARISON_SLACK for a, b in zip(xs, xs[1:])) and draw(st.booleans()):
             order = draw(st.permutations(range(n)))
             cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
             bounds = [0, *(c for c in cuts if c < n), n]
@@ -591,48 +596,6 @@ class TestSCC:
         assert comps == [[0, 1], [2, 3, 4], [5]]
 
     def test_against_kosaraju_oracle(self):
-        def kosaraju(g):
-            order = []
-            seen = [False] * g.n
-            for root in range(g.n):
-                if seen[root]:
-                    continue
-                stack = [(root, iter(g.succ[root]))]
-                seen[root] = True
-                while stack:
-                    v, it = stack[-1]
-                    advanced = False
-                    for w in it:
-                        if not seen[w]:
-                            seen[w] = True
-                            stack.append((w, iter(g.succ[w])))
-                            advanced = True
-                            break
-                    if not advanced:
-                        order.append(v)
-                        stack.pop()
-            pred = [[] for _ in range(g.n)]
-            for x, row in enumerate(g.succ):
-                for y in row:
-                    pred[y].append(x)
-            comp = [-1] * g.n
-            comps = []
-            for root in reversed(order):
-                if comp[root] != -1:
-                    continue
-                bucket = [root]
-                comp[root] = len(comps)
-                frontier = [root]
-                while frontier:
-                    v = frontier.pop()
-                    for w in pred[v]:
-                        if comp[w] == -1:
-                            comp[w] = len(comps)
-                            bucket.append(w)
-                            frontier.append(w)
-                comps.append(sorted(bucket))
-            return sorted(comps)
-
         rng = random.Random(414)
         for _ in range(60):
             n = rng.randint(1, 12)
@@ -641,7 +604,23 @@ class TestSCC:
                 for _ in range(rng.randint(0, 3 * n))
             }
             g = graph_from_edges(n, edges)
-            assert sorted(strongly_connected_components(g)) == kosaraju(g)
+            assert strongly_connected_components(g) == kosaraju(g)
+
+    @pytest.mark.parametrize("shape", ["path", "cycle"])
+    def test_long_path_and_cycle_match_kosaraju(self, shape):
+        # a DFS 65,536 frames deep: the explicit frame stack raises no RecursionError
+        n = 65536
+        last = (0,) if shape == "cycle" else ()
+        g = TransitionGraph(n, tuple((v + 1,) for v in range(n - 1)) + (last,))
+        comps = strongly_connected_components(g)
+        assert comps == kosaraju(g)
+        assert len(comps) == (1 if shape == "cycle" else n)
+
+    def test_catalog_graphs_match_kosaraju(self):
+        for system in catalog_systems(1024):
+            g = build_transition_graph(
+                system, make_epsilon_entourage(system.space, 2 * system.space.resolution))
+            assert strongly_connected_components(g) == kosaraju(g), system.name
 
     def test_closed_walk_lengths_match_bruteforce(self):
         rng = random.Random(3)

@@ -365,6 +365,63 @@ class TestErrorsAndDefaults:
         assert field in err
 
     @pytest.mark.parametrize(
+        "spec_text, error, fragment",
+        [
+            ("map: spiral\ngeometry: circle\ngrid_n: 8\n", "ValidationError", "unknown map"),
+            ("map: doubling\ngeometry: torus\ngrid_n: 8\n", "ValidationError", "unknown geometry"),
+            ("map: rotation\ngeometry: circle\ngrid_n: 8\nparams: 0.3\n", "ValidationError",
+             "params must be a list"),
+            ("map: rotation\ngeometry: circle\ngrid_n: 8\n", "ValidationError", "alpha parameter"),
+            ("map: tent\ngeometry: interval\ngrid_n: 8\n", "ValidationError", "slope parameter"),
+            ("map: odometer\ngeometry: discrete\n", "ValidationError", "levels parameter"),
+            ("map: odometer\ngeometry: circle\nparams: [3]\n", "ValidationError",
+             "odometer requires discrete"),
+            ("map: permutation\ngeometry: discrete\ngrid_n: 4\n", "ValidationError",
+             "cycles is required"),
+            ("map: permutation\ngeometry: discrete\npoints: [0.0, 0.5, 0.0, 0.75]\n"
+             "cycles: [[0, 1, 2, 3]]\n", "ValidationError", "points of a permutation"),
+            ("map: identity\ngeometry: interval\ngrid_n: 2\npoints: [0.0, 1.0]\n",
+             "ValidationError", "either grid_n or points"),
+            ("map: identity\ngeometry: interval\ngrid_n: 0\n", "ValidationError", "grid_n must"),
+            ("map: identity\ngeometry: product-of-circles\ngrid_n: 4\n", "ValidationError",
+             "grid_n is not supported"),
+            ("map: identity\ngeometry: interval\n", "ValidationError", "grid_n or points required"),
+            ("map: identity\ngeometry: interval\npoints: []\n", "ValidationError", "points must"),
+            ("map: identity\ngeometry: interval\ngrid_n: 4\nanalysis: [1]\n", "ValidationError",
+             "analysis must be a mapping"),
+            ("map: identity\ngeometry: interval\ngrid_n: 4\nanalysis: {format: xml}\n",
+             "ValidationError", "analysis.format must be one of text, machine"),
+            ("map: doubling\ngeometry: circle\npoints: [[0.0, 0.0], [0.5, 0.5]]\n",
+             "ValidationError", "one-dimensional"),
+            ("map: identity\ngeometry: discrete\npoints: [[0.0, 0.5], 1.0]\n",
+             "InvalidParameterError", "share one dimension"),
+            (None, "MalformedSpecError", "cannot read"),
+        ],
+    )
+    def test_spec_refused_at_load(self, tmp_path, capsys, spec_text, error, fragment):
+        # None is a spec file that does not exist
+        spec = str(tmp_path / "absent.yaml") if spec_text is None else write_spec(
+            tmp_path, "name: bad\n" + spec_text)
+        code = cli.main(["full", "--spec", spec, "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+        assert fragment in err and "Traceback" not in err
+
+    def test_analysis_format_is_checked_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        called, axioms = [], cli._STAGES["axioms"]
+        monkeypatch.setitem(
+            cli._STAGES, "axioms", lambda request: called.append(request) or axioms(request))
+        text = "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 16\n"
+        spec = write_spec(tmp_path, text + "analysis: {format: xml}\n")
+        assert cli.main(["full", "--spec", spec, "--seed", "7"]) == 1
+        assert called == []
+        assert "analysis.format" in capsys.readouterr().err
+        # a null table is an absent one
+        spec = write_spec(tmp_path, text + "analysis: ~\n")
+        assert cli.main(["axioms", "--spec", spec]) == 0 and len(called) == 1
+
+    @pytest.mark.parametrize(
         "command, extra_spec, flags",
         [("graph", "", ["--epsilon", "nan"]), ("axioms", "analysis: {epsilon: .inf}\n", [])],
     )

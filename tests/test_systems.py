@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from chaindyn import (
     GOLDEN_ALPHA,
+    ChainAnalysis,
     Geometry,
     InvalidParameterError,
     MalformedSpecError,
     MapKind,
     ResourceLimitError,
     ValidationError,
+    build_transition_graph,
     cantor_space,
     catalog_systems,
+    diagonal_entourage,
     doubling_system,
     dyadic_basis,
     evaluate,
@@ -403,6 +406,24 @@ class TestSpecFiles:
             with pytest.raises(ValidationError) as from_cycles:
                 permutation_system(cycles, 4)
             assert str(from_spec.value) == str(from_cycles.value) == message
+
+    @pytest.mark.parametrize("twin", [0.0, 1e-13], ids=["repeated", "within-slack"])
+    def test_permutation_over_a_repeated_point_is_refused(self, tmp_path, twin):
+        # point 2 snaps to point 0, so an orbit walk would cycle 0.5, 0.0, 0.5, ...
+        # while the permutation takes it on to 0.75: one spec, two dynamics
+        doc = {"name": "p", "map": "permutation", "geometry": "discrete",
+               "points": [0.0, 0.5, twin, 0.75], "cycles": [[0, 1, 2, 3]]}
+        with pytest.raises(ValidationError, match="points"):
+            load_system(str(tmp_path / "perm.yaml"), doc)
+
+    def test_permutation_over_shuffled_distinct_points_loads(self, tmp_path):
+        doc = {"name": "p", "map": "permutation", "geometry": "discrete",
+               "points": [0.75, 0.0, 0.5, 0.25], "cycles": [[0, 1, 2, 3]]}
+        s = load_system(str(tmp_path / "perm.yaml"), doc)
+        assert s.permutation == (1, 2, 3, 0)
+        assert [t for _, t, _, _ in s.grid_images] == list(s.permutation)
+        assert ChainAnalysis.from_graph(
+            build_transition_graph(s, diagonal_entourage(s.space))).recurrent == set(range(4))
 
     def test_odometer_from_file(self, tmp_path):
         p = tmp_path / "odo.yaml"

@@ -52,6 +52,8 @@ from .uniform import (
 
 SCHEMA_VERSION = "1"
 STOCHASTIC_COMMANDS = frozenset({"shadowing", "dichotomy", "full"})
+#: The commands whose stages build the request's transition graph.
+GRAPH_COMMANDS = frozenset({"graph", "chains", "mixing", "diameter", "recurrence", "full"})
 
 
 @dataclass(frozen=True)
@@ -386,6 +388,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise ResourceLimitError(
                     f"{flag} {value} on {n} points exceeds the cap of {MAX_ORBIT_CELLS} {what}"
                 )
+        if args.command in GRAPH_COMMANDS or opt["dump_graph"] is not None:
+            # a row holds at most the points of a box of side 2 epsilon, h apart
+            space, epsilon = system.space, opt["epsilon"]
+            steps = int(min(2 * epsilon / space.resolution, n))  # no int() of an inf
+            if n * min(n, (steps + 1) ** space.dimension) > MAX_ORBIT_CELLS:
+                raise ResourceLimitError(
+                    f"--epsilon {epsilon} on {n} points exceeds the cap of {MAX_ORBIT_CELLS}"
+                    " transition-graph edges (n x min(n, (2 epsilon / h + 1)^d))")
         request = AnalysisRequest(
             system, args.command, opt["epsilon"], basis_levels=basis, horizon=horizon,
             trials=trials, seed=opt["seed"], n_max=n_max, x=opt["x"])

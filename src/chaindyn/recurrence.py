@@ -75,25 +75,18 @@ class ReturnSetClassification:
 def _snapped_orbit(system: SystemSpec, start: int, horizon: int) -> list[int | None]:
     """Snaps of the exact orbit of grid point ``start``; None where a snap misses h/2.
 
-    The walk of :meth:`SystemSpec.orbit_step`, inlined, which also returns
-    to the table once a float image lands exactly on a grid point: the snap
-    that places each image tells it so.  Every snap is the one the plain
-    float loop would take.
+    Each iterate is a table entry: read from :attr:`SystemSpec.grid_images`
+    while the orbit is on the grid, and placed by
+    :meth:`SystemSpec.image_entry` off it, which also tells when a float
+    image lands exactly on a grid point and the walk can read the table
+    again.  Every snap is the one the plain float loop would take.
     """
-    space, images, f = system.space, system.grid_images, system.float_step
-    points, tol = space.points, space.resolution / 2 + COMPARISON_SLACK
-    snap = space.snap_value
+    images, f, entry = system.grid_images, system.float_step, system.image_entry
+    tol = system.space.resolution / 2 + COMPARISON_SLACK
     out: list[int | None] = [start]
     at = start
     for _ in range(horizon):
-        if at is None:
-            c = f(c)
-            idx, dist = snap(c)
-            at = idx if c == points[idx][0] else None
-        else:
-            image, idx, dist, at = images[at]
-            if at is None:
-                c = image[0]
+        image, idx, dist, at = images[at] if at is not None else entry((f(image[0]),))
         out.append(idx if dist <= tol else None)
     return out
 
@@ -163,8 +156,8 @@ def nonwandering_points(
     system.space.check_same(scale.space, "entourage")
     check_count(horizon, "horizon")
     space, images, f = system.space, system.grid_images, system.float_step
-    points, n = space.points, space.n
-    tol, snap = space.resolution / 2 + COMPARISON_SLACK, space.snap_value
+    points, n, entry = space.points, space.n, system.image_entry
+    tol = space.resolution / 2 + COMPARISON_SLACK
     if (arcs := scale.arcs) is not None:
         def col(u: int) -> int:
             return run_mask(arcs[u], n)
@@ -200,8 +193,7 @@ def nonwandering_points(
                 d = 1.0 - d
             if d <= window:
                 if idx is None:
-                    idx, dist = snap(c)
-                    at = idx if c == points[idx][0] else None
+                    _, idx, dist, at = entry((c,))
                 if dist <= tol and (hit := mine & col(idx)):
                     flags |= hit
                     if flags & mine == mine:

@@ -169,9 +169,11 @@ def generate_pseudo_orbit(
     The successors of a state are found once, at its first visit, and read
     again at every later one; a drift pick draws nothing from the seeded
     generator, so drift settles each state's next state once.  Uniform
-    mode draws once per step until every remaining step is forced (one
-    successor each, a forced cycle repeating), then appends that tail: a
-    draw from one index returns it whatever the generator's state.
+    mode appends a forced step (one successor) without drawing and counts
+    it; before its next real draw it makes the counted one-index draws,
+    which keeps the generator's sequence that of one draw per step, and
+    after the last choice it drops them.  A draw from one index returns
+    it whatever the generator's state, so the orbit is the same.
 
     Raises :class:`DiscretizationTooCoarseError`, naming the step, when a
     step has no legal successor on the grid, and :class:`OutOfRangeError`
@@ -234,26 +236,7 @@ def generate_pseudo_orbit(
         return lo + r if hi < n else (r if r <= hi - n else lo + r - hi + n - 1)
 
     settled: dict[int, tuple[int, int] | list[int] | int | None] = {}
-    unforced: set[int] = set()  # states whose forced chain meets a choice or a dead end
-
-    def forced_tail(x: int, steps: int) -> list[int] | None:
-        # successors are distinct and ascending: one index iff first == last
-        chain, at = [x], {x: 0}
-        while len(chain) <= steps:
-            u = chain[-1]
-            if u not in settled:
-                settled[u] = settle(u)
-            got = settled[u]
-            if got is None or got[0] != got[-1] or u in unforced:
-                unforced.update(chain)
-                return None
-            if got[0] in at:  # a forced cycle repeats
-                cycle = chain[at[got[0]]:]
-                return chain[1:] + [cycle[t % len(cycle)] for t in range(steps + 1 - len(chain))]
-            at[got[0]] = len(chain)
-            chain.append(got[0])
-        return chain[1:]
-
+    deferred = 0  # one-index draws not yet made
     states = [start]
     for i in range(length):
         x = states[-1]
@@ -264,12 +247,16 @@ def generate_pseudo_orbit(
             raise DiscretizationTooCoarseError(
                 f"step {i}: no legal successor inside D[f(x_{i})]"
             )
-        if uniform and got[0] == got[-1] and x not in unforced:
-            tail = forced_tail(x, length - i)
-            if tail:
-                states.extend(tail)
-                break
-        states.append(draw(got) if uniform else got)
+        if not uniform:
+            states.append(got)
+        elif got[0] == got[-1]:  # successors are distinct and ascending: one index
+            states.append(got[0])
+            deferred += 1
+        else:
+            while deferred:
+                rng.randrange(1)
+                deferred -= 1
+            states.append(draw(got))
     return PseudoOrbit(tuple(states), d.label, seed, tuple(states[1:]))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, count
-from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 import yaml
 
@@ -71,9 +71,10 @@ _REQUIRED_GEOMETRY = {
 }
 
 
-#: One entry per grid point: the exact image, its snap index and distance, and
-#: the index again when the image is that grid point exactly, else None.
-ImageTable = tuple[tuple[tuple[float, ...], int, float, int | None], ...]
+#: The exact image of a grid point, its snap index and distance, and the index
+#: again when the image is that grid point exactly, else None; a table has one per point.
+ImageEntry = tuple[tuple[float, ...], int, float, int | None]
+ImageTable = tuple[ImageEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,8 @@ class SystemSpec:
         if self._reads_off():
             at = range(len(points)) if self.permutation is None else self._index_step()
             return tuple((points[t], t, 0.0, t) for t in at)
-        return self._image_entries(
-            iterate(self, p, 1) if f is None else (f(p[0]),) for p in points)
+        return tuple(
+            self.image_entry(iterate(self, p, 1) if f is None else (f(p[0]),)) for p in points)
 
     def _reads_off(self) -> bool:
         """Whether each image is a grid point t, whose entry reads ``(points[t], t, 0.0, t)``.
@@ -189,13 +190,15 @@ class SystemSpec:
             step = tuple(perm[i] for i in step)
         return step
 
-    def _image_entries(self, images: Iterable[tuple[float, ...]]) -> ImageTable:
-        """The :attr:`grid_images` entries of the given exact images, one per grid point."""
-        space, out = self.space, []
-        for image in images:
-            idx, dist = space.snap(image)
-            out.append((image, idx, dist, idx if image == space.points[idx] else None))
-        return tuple(out)
+    def image_entry(self, image: tuple[float, ...]) -> ImageEntry:
+        """The :data:`ImageTable` entry of an exact image: the one rule that places it.
+
+        The image's snap, and the snap's index again when the image is that
+        grid point exactly (tuple equality), so a walk can go back to the table.
+        """
+        space = self.space
+        idx, dist = space.snap(image)
+        return image, idx, dist, idx if image == space.points[idx] else None
 
     def iterates(self) -> Iterator[SystemSpec]:
         """The systems of f^power, f^(2 power), f^(3 power), ..., without end.
@@ -219,10 +222,10 @@ class SystemSpec:
         for k in count(2):
             if perm is not None:
                 at = [step[i] for i in at]
-                entries = (tuple((points[t], t, 0.0, t) for t in at) if read_off
-                           else self._image_entries(points[i] for i in at))
+                entries = tuple((points[t], t, 0.0, t) if read_off
+                                else self.image_entry(points[t]) for t in at)
             elif f is not None and not read_off:
-                entries = self._image_entries((f(e[0][0]),) for e in entries)
+                entries = tuple(self.image_entry((f(e[0][0]),)) for e in entries)
             system = replace(self, power=k * self.power)
             vars(system)["grid_images"] = entries  # the cached_property's slot
             yield system

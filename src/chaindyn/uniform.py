@@ -186,29 +186,19 @@ class FinitePhaseSpace:
         """The grid point closest to ``coords`` and its distance; ties take the smaller index.
 
         In index order, a later point replaces the choice only when it is
-        closer by more than the slack.  A sorted space applies the rule in
-        :meth:`snap_value`; any other space scans every point.
+        closer by more than the slack.  A sorted space needs only the
+        :meth:`brackets` of the one coordinate, visited in ascending order
+        (a repeated candidate never wins twice), with their 1-D distances
+        computed as ``distance`` does; any other space scans every point.
         """
-        if self._sorted is not None:
-            return self.snap_value(coords[0])
-        best_i, best_d = 0, math.inf
-        for i, p in enumerate(self.points):
-            d = self.distance(coords, p)
-            if d < best_d - COMPARISON_SLACK:
-                best_i, best_d = i, d
-        return best_i, best_d
-
-    def snap_value(self, c: float) -> tuple[int, float]:
-        """:meth:`snap` of the one-coordinate point ``(c,)``, for a one-dimensional space.
-
-        On a sorted space the rule needs only the :meth:`brackets` of c,
-        visited in ascending order (a repeated candidate never wins twice);
-        their 1-D distances are computed as ``distance`` does.
-        """
-        xs = self._sorted
+        best_i, best_d, xs = 0, math.inf, self._sorted
         if xs is None:
-            return self.snap((c,))
-        best_i, best_d, wraps = 0, math.inf, self._wraps
+            for i, p in enumerate(self.points):
+                d = self.distance(coords, p)
+                if d < best_d - COMPARISON_SLACK:
+                    best_i, best_d = i, d
+            return best_i, best_d
+        c, wraps = coords[0], self._wraps
         for i in self.brackets(c):
             d = abs(c - xs[i])
             if wraps and d > 0.5:

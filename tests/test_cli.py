@@ -790,3 +790,50 @@ class TestResourceLimits:
         assert err.startswith("error: ResourceLimitError:")
         assert flag in err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["chains"], ["full", "--seed", "1"], ["axioms", "--dump-graph", "graph.txt"]],
+        ids=["chains", "full", "axioms-dump-graph"],
+    )
+    def test_coarse_epsilon_is_refused_at_once(self, tmp_path, capsys, monkeypatch, argv):
+        # at epsilon 0.5 each row of doubling-4096 may hold all 4096 points:
+        # 2^24 edges, past the cap, charged before any stage runs
+        monkeypatch.chdir(tmp_path)
+        spec = write_spec(tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 4096\n")
+        start = time.perf_counter()
+        code = cli.main([argv[0], "--spec", spec, "--epsilon", "0.5", *argv[1:]])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ResourceLimitError:")
+        assert "--epsilon" in err[0] and "transition-graph edges" in err[0]
+        assert elapsed < 1.0
+        assert not (tmp_path / "graph.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, n, admitted",
+        [("chains", 2048, True), ("recurrence", 4096, False), ("shadowing", 4096, True),
+         ("omega", 4096, True)],
+    )
+    def test_epsilon_is_charged_only_where_a_graph_is_built(
+        self, tmp_path, capsys, monkeypatch, command, n, admitted
+    ):
+        # 2048 points at epsilon 0.5 charge 2^22 edges, under the cap;
+        # shadowing and omega build no request graph, so they are admitted at
+        # any epsilon; the stage is stubbed, so only the admission is tested
+        monkeypatch.setitem(cli._STAGES, command, lambda request: {})
+        spec = write_spec(tmp_path, f"name: d\nmap: doubling\ngeometry: circle\ngrid_n: {n}\n")
+        code = cli.main([command, "--spec", spec, "--epsilon", "0.5", "--seed", "7"])
+        assert (code == 0) is admitted
+        assert ("--epsilon" in capsys.readouterr().err) is not admitted
+
+    def test_dichotomy_at_coarse_epsilon_runs(self, tmp_path, capsys):
+        # the dichotomy builds no request graph: at epsilon 0.5 doubling-4096
+        # is one component, in a few milliseconds
+        spec = write_spec(tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 4096\n")
+        code = cli.main(["dichotomy", "--spec", spec, "--epsilon", "0.5", "--seed", "7",
+                         "--format", "machine"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["results"]["dichotomy"]["component_count"] == 1

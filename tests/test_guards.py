@@ -7,24 +7,38 @@ another size an :class:`IncompatibleSpaceError`; neither leaks a bare
 ``IndexError`` or reads an index from the end.  A count that is not an
 ``int`` (a float, a string or a bool) is an :class:`InvalidParameterError`,
 never a bare ``TypeError`` or a grid of ``True`` points.
+
+The remaining guards, on malformed spaces, systems, bases, covers, allowed
+sets and report formats, are listed in ``MALFORMED`` with the error each
+raises, and the edge cases that are answers, not errors (a walk that dies,
+a blank record line, an empty report value), have a test each.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
 
 from chaindyn import (
     ChainAnalysis,
+    ChainDynError,
     Entourage,
+    FinitePhaseSpace,
     GeneratorSet,
+    Geometry,
     IncompatibleSpaceError,
+    InvalidCoverError,
     InvalidParameterError,
+    MapKind,
     OutOfRangeError,
     PseudoOrbit,
+    SystemSpec,
     UniformityBasis,
+    ValidationError,
     build_transition_graph,
     cantor_space,
     circle_grid,
+    closed_walk_lengths,
     compose,
     cross_section,
     disconnectedness_dichotomy,
@@ -34,9 +48,11 @@ from chaindyn import (
     estimate_shadowing_modulus,
     evaluate,
     export_pseudo_orbit,
+    find_coprime_cycles,
     find_shadow_point,
     generate_pseudo_orbit,
     graph_from_edges,
+    graph_period,
     import_pseudo_orbit,
     interval_grid,
     is_totally_chain_transitive,
@@ -58,6 +74,7 @@ from chaindyn import (
     verify_pseudo_orbit,
     weak_mixing_witness,
 )
+from chaindyn.cli import Report, _text_value, render
 
 N = 16
 SYSTEM = doubling_system(N)
@@ -83,6 +100,10 @@ INDEX_TAKERS = {
     "Entourage.contains-explicit": lambda i: EXPLICIT.contains(0, i),
     "TransitionGraph.has_edge-x": lambda i: GRAPH.has_edge(i, 0),
     "TransitionGraph.has_edge-y": lambda i: GRAPH.has_edge(0, i),
+    "graph_from_edges": lambda i: graph_from_edges(N, [(0, 1), (0, i)]),
+    "graph_period": lambda i: graph_period(GRAPH, i),  # GRAPH has one component
+    "closed_walk_lengths": lambda i: closed_walk_lengths(GRAPH, i, 3),
+    "find_coprime_cycles": lambda i: find_coprime_cycles(GRAPH, i),
     "from_pairs": lambda i: Entourage.from_pairs(SPACE, [(0, i)], "p"),
     "cross_section": lambda i: cross_section(D, i),
     "refining_entourage": lambda i: refining_entourage(BASIS, [range(N), [i]]),
@@ -190,3 +211,71 @@ def test_graph_of_negative_size_is_invalid():
 def test_count_that_is_not_an_int_is_invalid(call, value):
     with pytest.raises(InvalidParameterError):
         call(value)
+
+
+#: Malformed arguments that no other test reaches, each with its error and
+#: a fragment of the message that documents it.
+MALFORMED = {
+    "FinitePhaseSpace-no-points": (
+        lambda: FinitePhaseSpace((), Geometry.INTERVAL, 0.5),
+        InvalidParameterError, "at least one point"),
+    "FinitePhaseSpace-zero-resolution": (
+        lambda: FinitePhaseSpace(((0.0,),), Geometry.INTERVAL, 0.0),
+        InvalidParameterError, "resolution must be positive"),
+    "FinitePhaseSpace-negative-resolution": (
+        lambda: FinitePhaseSpace(((0.0,),), Geometry.INTERVAL, -1.0),
+        InvalidParameterError, "resolution must be positive"),
+    "FinitePhaseSpace-dimension-0": (
+        lambda: FinitePhaseSpace(((),), Geometry.DISCRETE, 1.0),
+        InvalidParameterError, "dimension >= 1"),
+    "SystemSpec-permutation-not-a-bijection": (
+        lambda: SystemSpec("p", MapKind.PERMUTATION, discrete_grid(3), (), (0, 0, 1)),
+        ValidationError, "bijection"),
+    "SystemSpec-permutation-missing": (
+        lambda: SystemSpec("p", MapKind.PERMUTATION, discrete_grid(3)),
+        ValidationError, "bijection"),
+    "SystemSpec-odometer-off-discrete": (
+        lambda: SystemSpec("o", MapKind.ODOMETER, interval_grid(4), (), (1, 2, 3, 0), 2),
+        ValidationError, "odometer requires discrete geometry"),
+    "SystemSpec-odometer-not-2^levels": (
+        lambda: SystemSpec("o", MapKind.ODOMETER, discrete_grid(3), (), (1, 2, 0), 2),
+        ValidationError, "2^levels points"),
+    "SystemSpec-odometer-without-permutation": (
+        lambda: SystemSpec("o", MapKind.ODOMETER, discrete_grid(4), (), None, 2),
+        ValidationError, "odometer permutation missing"),
+    "UniformityBasis-no-level": (
+        lambda: UniformityBasis(()), InvalidParameterError, "at least one level"),
+    "UniformityBasis.by_label-miss": (
+        lambda: BASIS.by_label("eps=7"), OutOfRangeError, "no basis level labeled 'eps=7'"),
+    "refining_entourage-no-level-refines": (
+        # a basis without its diagonal floor: every row of D holds 9 points
+        lambda: refining_entourage(UniformityBasis((D,)), [[x] for x in range(N)]),
+        InvalidCoverError, "no basis level refines"),
+    "generate_pseudo_orbit-allowed-empty": (
+        lambda: generate_pseudo_orbit(SYSTEM, D, 5, 0, allowed=set()),
+        InvalidParameterError, "allowed set is empty"),
+    "render-xml": (
+        lambda: render(Report("axioms", {}, {}, {}), "xml"), ChainDynError, "unknown format"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_argument_is_refused(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_walk_that_dies_has_no_closed_walk_lengths():
+    # 0 -> 1 and no edge out of 1: the walk from 0 is empty after two steps
+    assert closed_walk_lengths(graph_from_edges(2, [(0, 1)]), 0, 5) == []
+
+
+def test_imported_orbit_skips_blank_lines():
+    imported, header = import_pseudo_orbit("# seed: 3\n\n0 0.0 1\n   \n1 0.5 2\n\n")
+    assert imported.states == (0, 1, 2) and imported.seed == 3 and header == {"seed": "3"}
+
+
+@pytest.mark.parametrize("value", [[], {}], ids=["list", "dict"])
+def test_empty_text_value_reads_none(value):
+    assert _text_value(value) == "none"

@@ -338,9 +338,9 @@ def test_nonwandering_matches_scan_oracle_on_grid_cycles(system):
 def test_nonwandering_snaps_only_near_each_orbit_start(monkeypatch):
     s = rotation_system(GOLDEN_ALPHA, 160)
     scale = make_epsilon_entourage(s.space, 2 * s.space.resolution)
-    calls, snap_value = [], FinitePhaseSpace.snap_value
+    calls, snap = [], FinitePhaseSpace.snap
     monkeypatch.setattr(
-        FinitePhaseSpace, "snap_value", lambda self, c: calls.append(1) or snap_value(self, c)
+        FinitePhaseSpace, "snap", lambda self, coords: calls.append(1) or snap(self, coords)
     )
     assert nonwandering_points(s, scale, 100) == tuple(range(160))
     # the n snaps of the table of exact images are counted too

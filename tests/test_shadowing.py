@@ -746,6 +746,23 @@ class TestModulusEstimate:
         assert searched.count((0,) + (95,) * 100) == 1
         assert len(searched) == len(set(searched)) == 8  # one search per orbit would be 14
 
+    def test_known_gap_a_named_modulus_with_an_unshadowed_pseudo_orbit(self):
+        # KNOWN GAP, not a defect of the search: a named modulus is sampled
+        # evidence. On square-64 at E = 2h (`shadowing --horizon 20 --seed 1`,
+        # 20 trials) the scan names eps=0.03125, yet the pseudo-orbit 41, 28,
+        # 11, 0, 0, ... at that level is E-shadowed by no grid point. No
+        # sampled orbit found it; an exact scan over every path would.
+        s = square_system(64)
+        e = make_epsilon_entourage(s.space, 2 * s.space.resolution)
+        basis = dyadic_basis(s.space, 8)
+        report = estimate_shadowing_modulus(s, e, basis, trials=20, length=20, seed=1)
+        assert report.found and report.modulus.label == "eps=0.03125"
+        states = (41, 28, 11) + (0,) * 18
+        orbit = PseudoOrbit(states, report.modulus.label, None, states[1:])
+        assert orbit.horizon == 20 and verify_pseudo_orbit(orbit, s, report.modulus)
+        shadow = find_shadow_point(orbit, e, s)
+        assert (shadow.shadowed, shadow.failure_step, shadow.best_candidate) == (False, 3, 41)
+
 
 class TestIterateConsistency:
     def test_identity_map_trivial(self):

@@ -185,7 +185,7 @@ def snap_radii(space):
 
 
 class TestSnapIndex:
-    """nearest_index, snap_value and indices_within agree with the full scan."""
+    """nearest_index, snap and indices_within agree with the full scan."""
 
     @pytest.mark.parametrize("space", SNAP_SPACES, ids=space_id)
     def test_structured_probes_match_scan(self, space):
@@ -193,7 +193,6 @@ class TestSnapIndex:
             i = nearest_bruteforce(space, (c,))
             assert space.nearest_index((c,)) == i, c
             assert space.snap((c,)) == (i, space.distance((c,), space.points[i])), c
-            assert space.snap_value(c) == (i, space.distance((c,), space.points[i])), c
             for r in snap_radii(space):
                 assert space.indices_within((c,), r) == within_bruteforce(space, (c,), r), (c, r)
 
@@ -212,7 +211,6 @@ class TestSnapIndex:
         i = nearest_bruteforce(space, (c,))
         assert space.nearest_index((c,)) == i
         assert space.snap((c,)) == (i, space.distance((c,), space.points[i]))
-        assert space.snap_value(c) == (i, space.distance((c,), space.points[i]))
         assert space.indices_within((c,), r) == within_bruteforce(space, (c,), r)
 
     @given(data=st.data())
@@ -227,7 +225,6 @@ class TestSnapIndex:
         c = data.draw(st.one_of(st.sampled_from(sorted(probes)), st.floats(0.0, 1.0)))
         i = nearest_bruteforce(space, (c,))
         assert space.snap((c,)) == (i, space.distance((c,), space.points[i]))
-        assert space.snap_value(c) == (i, space.distance((c,), space.points[i]))
         assert space.nearest_index((c,)) == i
 
 

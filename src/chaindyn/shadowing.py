@@ -531,8 +531,6 @@ def disconnectedness_dichotomy(
     basis: UniformityBasis,
     trials: int,
     seed: int,
-    *,
-    length: int = DICHOTOMY_LENGTH,
 ) -> DichotomyReport:
     """Finite echo of "identity has shadowing iff the space is totally disconnected".
 
@@ -564,7 +562,7 @@ def disconnectedness_dichotomy(
     )
     totally_disconnected = n == 1 or (space.gap is not None and count == n)
     report = estimate_shadowing_modulus(
-        identity_system(space), e, basis, trials, length, seed
+        identity_system(space), e, basis, trials, DICHOTOMY_LENGTH, seed
     )
     return DichotomyReport(
         connected_at_scale=connected,

@@ -24,7 +24,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, count
 from typing import Any, Callable, Collection, Iterator, Sequence
 
@@ -111,20 +111,25 @@ class SystemSpec:
             slope = self._param("slope")
             if not 0.0 < slope <= 2.0:
                 raise ValidationError("slope out of range (0, 2]")
-        elif kind == MapKind.PERMUTATION:
+        elif kind in (MapKind.PERMUTATION, MapKind.ODOMETER):
             if self.space.geometry != Geometry.DISCRETE:
-                raise ValidationError("permutation requires discrete geometry")
-            perm = self.permutation
-            if perm is None or sorted(perm) != list(range(self.space.n)):
+                raise ValidationError(f"{kind.value} requires discrete geometry")
+            if kind is MapKind.ODOMETER:
+                check_count(self.levels, "levels")
+                if self.space.n != 2 ** self.levels:
+                    raise ValidationError("odometer space must have 2^levels points")
+                if self.permutation is None:
+                    raise ValidationError("odometer permutation missing")
+            if self.permutation is None or sorted(self.permutation) != list(range(self.space.n)):
                 raise ValidationError("permutation must be a bijection of the indices")
-        elif kind == MapKind.ODOMETER:
-            if self.space.geometry != Geometry.DISCRETE:
-                raise ValidationError("odometer requires discrete geometry")
-            check_count(self.levels, "levels")
-            if self.space.n != 2 ** self.levels:
-                raise ValidationError("odometer space must have 2^levels points")
-            if self.permutation is None:
-                raise ValidationError("odometer permutation missing")
+            # a lookup answers the earlier of two points within the slack, so orbit walks
+            # would move the later one by its twin's cycle, not by its own; a sorted
+            # view already keeps its points more than 1e3 slacks apart
+            if self.space._sorted is None and (
+                    len(set(self.space.points)) < self.space.n
+                    or _separation(self.space.points, self.space.geometry) <= COMPARISON_SLACK):
+                raise ValidationError(
+                    f"points of a permutation must lie more than {COMPARISON_SLACK:g} apart")
 
     def _param(self, field: str) -> float:
         if not self.params:
@@ -165,30 +170,27 @@ class SystemSpec:
         """The exact one-step image of every grid point, computed once per system.
 
         Entry x is the :data:`ImageTable` entry of the image of x under
-        f^power; "exactly" is tuple equality.
+        f^power; "exactly" is tuple equality.  Where :meth:`_reads_off` holds,
+        the entry is read from the image's index, which a permutation-backed
+        map finds by applying its permutation ``power`` times.
         """
-        points, f = self.space.points, self.float_step
+        points, f, perm = self.space.points, self.float_step, self.permutation
         if self._reads_off():
-            at = range(len(points)) if self.permutation is None else self._index_step()
+            at = range(len(points))
+            for _ in range(self.power if perm is not None else 0):
+                at = [perm[i] for i in at]
             return tuple((points[t], t, 0.0, t) for t in at)
-        return tuple(
-            self.image_entry(iterate(self, p, 1) if f is None else (f(p[0]),)) for p in points)
+        return tuple(self.image_entry(p if f is None else (f(p[0]),)) for p in points)
 
     def _reads_off(self) -> bool:
         """Whether each image is a grid point t, whose entry reads ``(points[t], t, 0.0, t)``.
 
-        True for the identity and the permutation-backed maps on a sorted space,
-        where each point snaps to itself.
+        True for the permutation-backed maps, whose points the constructor
+        keeps more than the slack apart, and for the identity on a sorted
+        space: on both each point snaps to itself.
         """
-        return (self.kind is MapKind.IDENTITY or self.permutation is not None) and (
-            self.space._sorted is not None)
-
-    def _index_step(self) -> tuple[int, ...]:
-        """The permutation raised to ``power``: entry i is the index f^power takes i to."""
-        perm = step = self.permutation
-        for _ in range(self.power - 1):
-            step = tuple(perm[i] for i in step)
-        return step
+        return self.permutation is not None or (
+            self.kind is MapKind.IDENTITY and self.space._sorted is not None)
 
     def image_entry(self, image: tuple[float, ...]) -> ImageEntry:
         """The :data:`ImageTable` entry of an exact image: the one rule that places it.
@@ -205,27 +207,20 @@ class SystemSpec:
 
         The first is this system; the k-th is ``replace(self, power=k *
         self.power)`` with its :attr:`grid_images` already set, by applying
-        f^power once more to the table before it.  That equals the table the
-        k-th system would compute, entry for entry: a float map steps each
-        image with ``float_step``, which applies f in the same sequence; a
-        permutation-backed map steps each index with the permutation raised
-        to ``power``, from the grid point's nearest index as :func:`iterate`
-        starts; a many-dimensional or read-off identity repeats the table.
+        f^power once more to each entry of the table before it.  An image that
+        is grid point t steps to ``grid_images[t]``, since the arithmetic is
+        deterministic; any other image steps by ``float_step``, which applies f
+        in the sequence the k-th system would, or stays where it is under a
+        many-dimensional identity, which has no float step.  So the table is
+        the one the k-th system would compute, entry for entry.
         """
-        entries = self.grid_images
+        grid = entries = self.grid_images
         yield self
-        points, f, perm, read_off = (
-            self.space.points, self.float_step, self.permutation, self._reads_off())
-        if perm is not None:
-            step = self._index_step()
-            at = list(step) if read_off else [step[self.space.nearest_index(p)] for p in points]
+        f = self.float_step
         for k in count(2):
-            if perm is not None:
-                at = [step[i] for i in at]
-                entries = tuple((points[t], t, 0.0, t) if read_off
-                                else self.image_entry(points[t]) for t in at)
-            elif f is not None and not read_off:
-                entries = tuple(self.image_entry((f(e[0][0]),)) for e in entries)
+            entries = tuple(
+                grid[e[3]] if e[3] is not None else e if f is None
+                else self.image_entry((f(e[0][0]),)) for e in entries)
             system = replace(self, power=k * self.power)
             vars(system)["grid_images"] = entries  # the cached_property's slot
             yield system
@@ -293,8 +288,6 @@ def grid_permutation(system: SystemSpec) -> tuple[int, ...] | None:
     Returns None unless every one-step image lands within 1e-9 of a grid
     point and the induced index map is a bijection.
     """
-    if system.permutation is not None and system.power == 1:
-        return system.permutation
     # an image farther than 1e-9 from the grid leaves fewer than n indices
     images = tuple(idx for _, idx, dist, _ in system.grid_images if dist <= 1e-9)
     return images if sorted(images) == list(range(system.space.n)) else None
@@ -461,8 +454,13 @@ def _space_from_points(raw_points: Any, geometry: Geometry) -> FinitePhaseSpace:
     return FinitePhaseSpace(tup, geometry, h, gap=gap)
 
 
+@lru_cache(maxsize=1)
 def _separation(points: tuple[tuple[float, ...], ...], geometry: Geometry) -> float:
     """Minimum positive distance between two of ``points`` (1.0 when there is none).
+
+    The last answer is kept, so a loaded permutation's check in the
+    :class:`SystemSpec` constructor, and that of each of its iterates, reads
+    the separation the loader scanned for the space's resolution.
 
     On a line the minimum lies between neighbours in sorted order, and
     rounding is monotone, so that pass gives the pair scan's value exactly.
@@ -547,11 +545,6 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
         return odometer_system(levels, name=name)
     space = _build_space(doc, geometry)
     if kind == MapKind.PERMUTATION:
-        # a lookup answers the earlier of two points within the slack, so orbit walks
-        # would move the later one by its twin's cycle, not by its own
-        if space.resolution <= COMPARISON_SLACK or len(set(space.points)) < space.n:
-            raise ValidationError(
-                f"points of a permutation must lie more than {COMPARISON_SLACK:g} apart")
         cycles = doc.get("cycles")
         if not isinstance(cycles, list):
             raise ValidationError("cycles is required for permutation maps")

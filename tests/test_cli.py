@@ -718,6 +718,34 @@ class TestOncePerRequest:
         assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
         assert len(applications) == 128 * 5
 
+    @pytest.mark.parametrize("nmax", [2, 5])
+    def test_mixing_reads_on_grid_images_from_the_f_table(
+        self, tmp_path, capsys, monkeypatch, nmax
+    ):
+        # doubling on a 2^k grid maps every grid point onto one, so the tables
+        # of f^2 .. f^nmax read the f table and add no snap or float step to
+        # its n of each, at any nmax
+        from chaindyn.uniform import FinitePhaseSpace
+
+        snaps, steps = [], []
+        snap, load = FinitePhaseSpace.snap, cli.load_system
+        monkeypatch.setattr(
+            FinitePhaseSpace, "snap", lambda self, coords: snaps.append(1) or snap(self, coords))
+
+        def counted_load(*args):
+            system = load(*args)
+            f = system.float_step
+            vars(system)["float_step"] = lambda c: steps.append(1) or f(c)  # the cached slot
+            return system
+
+        monkeypatch.setattr(cli, "load_system", counted_load)
+        spec = write_spec(tmp_path, "name: d\nmap: doubling\ngeometry: circle\ngrid_n: 128\n")
+        code, out = run_cli(["mixing", "--spec", spec, "--epsilon", "0.3", "--nmax", str(nmax),
+                             "--format", "machine"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["mixing"]["totally_chain_transitive"]
+        assert (len(snaps), len(steps)) == (128, 128)
+
 
 class TestResourceLimits:
     @pytest.mark.parametrize(

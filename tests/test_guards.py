@@ -234,6 +234,18 @@ MALFORMED = {
     "SystemSpec-permutation-missing": (
         lambda: SystemSpec("p", MapKind.PERMUTATION, discrete_grid(3)),
         ValidationError, "bijection"),
+    "SystemSpec-permutation-over-a-repeated-point": (
+        lambda: SystemSpec("p", MapKind.PERMUTATION, FinitePhaseSpace(
+            ((0.0,), (0.5,), (0.5,)), Geometry.DISCRETE, 0.5), (), (1, 2, 0)),
+        ValidationError, "more than 1e-12 apart"),
+    "SystemSpec-permutation-over-twins": (
+        # a lookup of the second twin answers the first, so the orbit walks broke
+        lambda: replace(permutation_system([[0, 1, 2]], 3), space=FinitePhaseSpace(
+            ((0.0,), (1e-13,), (0.5,)), Geometry.DISCRETE, 0.5)),
+        ValidationError, "more than 1e-12 apart"),
+    "SystemSpec-odometer-not-a-bijection": (
+        lambda: SystemSpec("o", MapKind.ODOMETER, discrete_grid(4), (), (0, 0, 0, 0), 2),
+        ValidationError, "bijection"),
     "SystemSpec-odometer-off-discrete": (
         lambda: SystemSpec("o", MapKind.ODOMETER, interval_grid(4), (), (1, 2, 3, 0), 2),
         ValidationError, "odometer requires discrete geometry"),

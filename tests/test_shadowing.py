@@ -935,7 +935,7 @@ class TestDichotomyComponents:
             for relation, tarjan_runs in ((e, 0), (explicit, 1)):
                 calls.clear()
                 report = disconnectedness_dichotomy(
-                    space, relation, basis, trials=1, seed=1, length=3)
+                    space, relation, basis, trials=1, seed=1)
                 assert report.component_count == count
                 assert report.totally_disconnected_at_scale == (
                     n == 1 or (space.gap is not None and count == n))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaindyn import (
@@ -37,7 +37,13 @@ from chaindyn import (
 )
 from chaindyn import systems as systems_module
 from chaindyn.systems import _separation, grid_permutation, load_analysis_defaults, parse_spec
-from chaindyn.uniform import MAX_POINTS, FinitePhaseSpace, circle_grid, discrete_grid
+from chaindyn.uniform import (
+    COMPARISON_SLACK,
+    MAX_POINTS,
+    FinitePhaseSpace,
+    circle_grid,
+    discrete_grid,
+)
 from oracles import (
     image_table_bruteforce,
     map_bruteforce,
@@ -584,7 +590,10 @@ def _coords(min_size=1):
 @st.composite
 def _grid_map_systems(draw):
     """Identity, permutation and odometer systems on the spaces the tables are read off
-    and on those that keep the snaps: wrapping, unsorted, repeated and 2-D lists."""
+    and on those that keep the snaps: wrapping, unsorted, repeated and 2-D lists.
+
+    A permutation is drawn only over points more than the slack apart, since the
+    constructor refuses it over any others."""
     n = draw(st.integers(1, 24))
     space = draw(st.sampled_from(["interval", "circle", "discrete", "odometer", "cantor",
                                   "sorted", "wrap", "unsorted", "repeated", "plane"]))
@@ -612,14 +621,23 @@ def _grid_map_systems(draw):
         else:
             coords = draw(st.permutations(coords))
         space = FinitePhaseSpace(tuple((c,) for c in coords), geometry, 0.5)
-    if space.geometry is not Geometry.DISCRETE or draw(st.booleans()):
+    separated = len(set(space.points)) == space.n and (
+        _separation(space.points, space.geometry) > COMPARISON_SLACK)
+    if space.geometry is not Geometry.DISCRETE or not separated or draw(st.booleans()):
         return identity_system(space)
     perm = tuple(draw(st.permutations(range(space.n))))
     return replace(permutation_system([], space.n), space=space, permutation=perm)
 
 
+#: A 2-D identity whose first two points are twins 1e-13 apart: the second snaps
+#: to the first without equalling it, and no float step moves it.
+_TWIN_PLANE = identity_system(FinitePhaseSpace(
+    ((0.0, 0.0), (1e-13, 0.0), (0.5, 0.5)), Geometry.PRODUCT_OF_CIRCLES, 0.5))
+
+
 class TestReadOffImageTables:
     @given(_grid_map_systems(), st.integers(1, 3))
+    @example(_TWIN_PLANE, 1)
     @settings(max_examples=300, deadline=None)
     def test_tables_match_the_bruteforce_snaps(self, system, power):
         system = replace(system, power=power)

@@ -25,7 +25,7 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import combinations, count
+from itertools import count
 from typing import Any, Callable, Collection, Iterator, Sequence
 
 import yaml
@@ -464,22 +464,41 @@ def _separation(points: tuple[tuple[float, ...], ...], geometry: Geometry) -> fl
 
     On a line the minimum lies between neighbours in sorted order, and
     rounding is monotone, so that pass gives the pair scan's value exactly.
-    The circle keeps the scan: a distance taken around the wrap,
-    ``1 - |a - b|``, rounds differently, so sorted neighbours can miss the
-    scan's minimum in the last bit.  A scan past ``MAX_ORBIT_CELLS`` pairs
-    raises :class:`ResourceLimitError`.
+    Elsewhere the points, repeats dropped, are swept in sorted order.  A
+    pair's distance is at least its first coordinate's term, which
+    :meth:`FinitePhaseSpace.distance` rounds as ``b0 - a0``, or round the
+    circle as ``1.0 - (b0 - a0)`` when that gap passes 0.5.  Walking from
+    ``a`` forward, or round the wrap back from the last point, that term
+    only grows, so each walk stops once it reaches the least distance found
+    and the sweep returns the pair scan's minimum exactly.  A list past
+    ``MAX_ORBIT_CELLS`` pairs raises :class:`ResourceLimitError`.
     """
     probe = FinitePhaseSpace(points, geometry, 1.0)
-    if geometry.wraps or probe.dimension > 1:
-        n = len(points)
-        if n * (n - 1) // 2 > MAX_ORBIT_CELLS:
-            raise ResourceLimitError(
-                f"points: {n} take {n * (n - 1) // 2} pair distances, past {MAX_ORBIT_CELLS}")
-        pairs = combinations(points, 2)
-    else:
+    if not (geometry.wraps or probe.dimension > 1):
         ordered = sorted(points)
         pairs = zip(ordered, ordered[1:])
-    return min((d for a, b in pairs if (d := probe.distance(a, b)) > 0), default=1.0)
+        return min((d for a, b in pairs if (d := probe.distance(a, b)) > 0), default=1.0)
+    n = len(points)
+    if n * (n - 1) // 2 > MAX_ORBIT_CELLS:
+        raise ResourceLimitError(
+            f"points: {n} take {n * (n - 1) // 2} pair distances, past {MAX_ORBIT_CELLS}")
+    ordered = sorted(set(points))
+    best, distance = math.inf, probe.distance
+    half = 0.5 if geometry.wraps else math.inf  # a longer gap is taken round the circle
+    for i, a in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            gap = ordered[j][0] - a[0]
+            if gap > half or gap >= best:
+                break
+            if 0 < (d := distance(a, ordered[j])) < best:
+                best = d
+        for j in range(len(ordered) - 1, i, -1):
+            gap = ordered[j][0] - a[0]
+            if gap <= half or 1.0 - gap >= best:
+                break
+            if 0 < (d := distance(a, ordered[j])) < best:
+                best = d
+    return best if best < math.inf else 1.0
 
 
 def _build_space(doc: dict[str, Any], geometry: Geometry) -> FinitePhaseSpace:

@@ -8,6 +8,7 @@ library's own algorithms, so a disagreement always means a real bug.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 
@@ -409,17 +410,12 @@ def path_is_chain(system, d, states) -> bool:
 
 
 def resolution_bruteforce(points, geometry) -> float:
-    """Minimum positive pairwise distance of a point list (1.0 if none), by a full scan."""
+    """Minimum positive pairwise distance of a point list (1.0 if none), by a full pair scan."""
     from chaindyn import FinitePhaseSpace
 
     probe = FinitePhaseSpace(tuple(points), geometry, 1.0)
-    dists = [
-        d
-        for i, a in enumerate(probe.points)
-        for b in probe.points[i + 1 :]
-        if (d := probe.distance(a, b)) > 0
-    ]
-    return min(dists) if dists else 1.0
+    pairs = itertools.combinations(probe.points, 2)
+    return min((d for a, b in pairs if (d := probe.distance(a, b)) > 0), default=1.0)
 
 
 def shadow_bruteforce(orbit, e, system, candidates=None):

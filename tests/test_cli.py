@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -11,7 +14,8 @@ import pytest
 from chaindyn import cli
 from chaindyn.uniform import MAX_POINTS
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 #: SHA-256 of the machine report of each listed request, recorded once.
 DIGESTS = json.loads((Path(__file__).resolve().parent / "golden" / "digests.json").read_text())
 
@@ -865,3 +869,42 @@ class TestResourceLimits:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["results"]["dichotomy"]["component_count"] == 1
+
+
+def fresh_interpreter(code: str, result: str):
+    """The value of the expression ``result`` once ``code`` has run in a new interpreter.
+
+    The interpreter imports this checkout's sources and writes no bytecode.
+    """
+    script = f"import json, sys\n{code}\nprint(json.dumps({result}))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-B", "-c", script], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+#: The chaindyn modules the interpreter has loaded.
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'chaindyn')"
+
+
+class TestModulesLoaded:
+    def test_systems_loads_only_what_it_imports(self):
+        loaded = fresh_interpreter("import chaindyn.systems", LOADED)
+        assert loaded == ["chaindyn", "chaindyn.errors", "chaindyn.systems", "chaindyn.uniform"]
+
+    def test_cli_loads_every_module_the_tracer_looks_up(self):
+        # the benchmark's tracer finds the modules it wraps in sys.modules,
+        # once `from chaindyn import cli` has run and nothing else
+        loaded, wanted = fresh_interpreter(
+            "from chaindyn import cli\nsys.path.insert(0, 'perfbench')\nimport tracer",
+            f"[{LOADED}, sorted('chaindyn.' + m for m in "
+            "{m for m, _ in [*tracer.HOT, *tracer.SPANS]} | {'errors', '_parallel', 'cli'})]")
+        assert "chaindyn._parallel" in wanted
+        assert set(wanted) <= set(loaded)
+        assert "chaindyn.semigroup" not in loaded
+
+    def test_package_attribute_loads_its_module(self):
+        assert fresh_interpreter(
+            "import chaindyn", "chaindyn.shadowing.find_shadow_point.__module__"
+        ) == "chaindyn.shadowing"

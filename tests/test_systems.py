@@ -447,6 +447,14 @@ class TestSpecFiles:
         assert load_analysis_defaults(str(p)) == {"seed": 9, "horizon": 50}
 
 
+#: A coordinate: one at the wrap, at half a turn or a bit either side of it, or 1e-13 from
+#: 0.0, else any in [0, 1].
+SWEEP_COORD = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53, 0.25, 0.75, 1e-13]),
+    st.floats(0.0, 1.0),
+)
+
+
 class TestExplicitListResolution:
     @given(
         coords=st.lists(
@@ -459,6 +467,22 @@ class TestExplicitListResolution:
     @settings(max_examples=300, deadline=None)
     def test_matches_pair_scan(self, coords, geometry):
         points = tuple((c,) for c in coords)
+        assert _separation(points, geometry) == resolution_bruteforce(points, geometry)
+
+    @given(
+        pool=st.lists(st.tuples(SWEEP_COORD, SWEEP_COORD), min_size=1, max_size=12),
+        picks=st.lists(st.integers(0, 11), min_size=1, max_size=40),
+        dimension=st.sampled_from([1, 2]),
+        geometry=st.sampled_from([Geometry.INTERVAL, Geometry.CIRCLE, Geometry.DISCRETE]),
+    )
+    @example(pool=[(0.0, 0.0), (1.0, 1.0)], picks=[0, 1], dimension=1, geometry=Geometry.CIRCLE)
+    @example(pool=[(0.3, 0.3)], picks=[0], dimension=2, geometry=Geometry.CIRCLE)
+    @example(pool=[(0.0, 0.5), (1.0, 0.25), (0.5, 1.0)], picks=[0, 1, 2, 0, 2],
+             dimension=2, geometry=Geometry.CIRCLE)
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_the_pair_scan(self, pool, picks, dimension, geometry):
+        # points drawn from a small pool repeat; 1-D lines take the neighbour pass
+        points = tuple(pool[k % len(pool)][:dimension] for k in picks)
         assert _separation(points, geometry) == resolution_bruteforce(points, geometry)
 
     def test_circle_keeps_the_scan_value(self):

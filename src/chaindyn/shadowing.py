@@ -351,11 +351,19 @@ def estimate_shadowing_modulus(
 
     Each distinct orbit is searched once per call.  For a metric E an exact
     orbit (each state the grid image of the last) is E-shadowed by its own
-    start at distance 0, with no search.
+    start at distance 0, with no search.  So for a metric E, when every grid
+    image is a grid point and no ``allowed`` set confines the walks, a level
+    that is the diagonal passes at once, with no orbit generated: each of
+    its pseudo-orbits is an exact orbit.  ``trials``, ``length`` and the
+    spaces of ``e`` and ``basis`` are checked before any level is scanned.
     """
     check_count(trials, "trials")
+    check_count(length, "length")
+    system.space.check_same(basis.space, "basis")
+    system.space.check_same(e.space, "entourage")
     pool = sorted(allowed) if allowed is not None else None
     images = system.grid_images
+    exact = e.scale is not None and allowed is None and all(x[3] is not None for x in images)
     verdicts: dict[tuple[int, ...], bool] = {}
     levels = candidate_levels(basis)
     scanned = []
@@ -364,6 +372,8 @@ def estimate_shadowing_modulus(
     runs = [(MODE_DRIFT, seed)] + [(MODE_UNIFORM, seed * 1_000_003 + t) for t in range(trials)]
     for lvl in levels:
         scanned.append(lvl.label)
+        if exact and lvl.is_diagonal_only():  # every pseudo-orbit is an exact orbit
+            return ShadowingModulusReport(True, lvl, None, None, tuple(scanned), trials, length)
         try:
             for mode, orbit_seed in runs:
                 orbit = generate_pseudo_orbit(

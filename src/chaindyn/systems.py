@@ -425,7 +425,8 @@ def parse_spec(path: str) -> dict[str, Any]:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""
-        raise MalformedSpecError(f"cannot parse {path}{where}: {exc}") from exc
+        problem = " ".join(str(exc).split())  # a YAML message spans lines
+        raise MalformedSpecError(f"cannot parse {path}{where}: {problem}") from exc
     if not isinstance(doc, dict):
         raise MalformedSpecError(f"{path}: top level must be a mapping")
     return doc
@@ -540,7 +541,7 @@ def load_system(path: str, document: dict[str, Any] | None = None) -> SystemSpec
     for key in ("name", "map", "geometry"):
         if key not in doc:
             raise ValidationError(f"{key} is required")
-    name = str(doc["name"])
+    name = _typed(doc["name"], str, "name")
     try:
         kind = MapKind(str(doc["map"]))
     except ValueError:

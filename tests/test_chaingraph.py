@@ -412,7 +412,7 @@ def test_total_transitivity_matches_graphs_rebuilt_from_scratch(data):
     space = system.space
     if data.draw(st.booleans()):
         h = space.resolution
-        low = min(h / 2, 0.5)
+        low = min(h / 2, 0.5) or h  # h / 2 is 0.0 when h is the least subnormal
         scale = data.draw(st.sampled_from((low, h, 2 * h)).filter(lambda r: r <= 0.5)
                           | st.floats(low, 0.5))
         d = make_epsilon_entourage(space, scale)

@@ -400,12 +400,19 @@ class TestErrorsAndDefaults:
             ("map: identity\ngeometry: discrete\npoints: [[0.0, 0.5], 1.0]\n",
              "InvalidParameterError", "share one dimension"),
             (None, "MalformedSpecError", "cannot read"),
+            # YAML errors whose messages span lines, and a name that is not a string
+            ("map: doubling\ngeometry: circle\ngrid_n: [16\n", "MalformedSpecError",
+             "(line 5): while parsing a flow sequence"),
+            ("map: doubling\x00\ngeometry: circle\ngrid_n: 16\n", "MalformedSpecError",
+             "unacceptable character #x0000"),
+            ("name: [1]\nmap: doubling\ngeometry: circle\ngrid_n: 16\n", "ValidationError",
+             "name must be of type str"),
         ],
     )
     def test_spec_refused_at_load(self, tmp_path, capsys, spec_text, error, fragment):
-        # None is a spec file that does not exist
+        # None is a spec file that does not exist; a text without a name gets one
         spec = str(tmp_path / "absent.yaml") if spec_text is None else write_spec(
-            tmp_path, "name: bad\n" + spec_text)
+            tmp_path, spec_text if spec_text.startswith("name:") else "name: bad\n" + spec_text)
         code = cli.main(["full", "--spec", spec, "--seed", "7"])
         err = capsys.readouterr().err
         assert code == 1

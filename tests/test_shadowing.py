@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -160,6 +161,11 @@ def scan_systems(draw):
         return identity_system(cantor_space(draw(st.integers(1, 5))))
     ks = draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=12))
     return identity_system(sorted_list_space([k / 10**6 for k in ks], Geometry.DISCRETE))
+
+
+def below_gap_basis(space: FinitePhaseSpace) -> UniformityBasis:
+    """A basis whose one candidate level, eps=0.1, is the diagonal on a grid of at most 10 points."""
+    return UniformityBasis((make_epsilon_entourage(space, 0.1), diagonal_entourage(space)))
 
 
 def counting_draws(monkeypatch) -> list[int]:
@@ -676,63 +682,120 @@ class TestModulusEstimate:
             for lvl in candidate_levels(dyadic_basis(sp, 6)):
                 assert not (lvl.scale == 0.0)
 
-    @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_scan_matches_the_plain_level_loop(self, data):
-        # every field of the report, with and without an allowed set, for a
-        # metric and for an explicit E, reflexive or not
-        system = data.draw(scan_systems())
-        space = system.space
-        n, h = space.n, space.resolution
-        basis = dyadic_basis(space, data.draw(st.integers(2, 7)))
-        if data.draw(st.booleans()):
-            e = make_epsilon_entourage(space, data.draw(st.sampled_from((h / 2, h, 2 * h, 0.25))))
+    @pytest.mark.parametrize("refusal", ["length", "entourage", "basis"])
+    def test_a_diagonal_first_level_keeps_every_refusal(self, refusal):
+        # odometer-2's first candidate level lies below the gap, so the scan
+        # would pass there unsampled; a bad argument is refused first
+        from chaindyn import IncompatibleSpaceError, InvalidParameterError
+
+        s, other = odometer_system(2), discrete_grid(8)
+        e, basis, length = make_epsilon_entourage(s.space, 0.5), below_gap_basis(s.space), 5
+        assert candidate_levels(basis)[0].is_diagonal_only()
+        assert estimate_shadowing_modulus(s, e, basis, 2, length, 7).found
+        if refusal == "length":
+            error, length = InvalidParameterError, 0
+        elif refusal == "entourage":
+            error, e = IncompatibleSpaceError, make_epsilon_entourage(other, 0.5)
         else:
-            index = st.integers(0, n - 1)
-            pairs = data.draw(st.lists(st.tuples(index, index)))
-            e = Entourage.from_pairs(space, pairs, "pairs", close=data.draw(st.booleans()))
-        allowed = data.draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
-        trials, length = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
-        seed = data.draw(st.integers(0, 10**6))
-        got = estimate_shadowing_modulus(system, e, basis, trials, length, seed, allowed=allowed)
-        expected = modulus_scan_bruteforce(system, e, basis, trials, length, seed, allowed)
-        assert got == expected
+            error, basis = IncompatibleSpaceError, below_gap_basis(other)
+        with pytest.raises(error, match=refusal):
+            estimate_shadowing_modulus(s, e, basis, 2, length, 7)
+
+    @pytest.mark.parametrize("case", ["off-grid image", "allowed set", "explicit E"])
+    def test_a_diagonal_level_is_sampled_unless_its_orbits_are_exact_and_shadowed(self, case):
+        # one of the three conditions fails in each case, and the sampled
+        # scan fails the level: the one-point circle's image is off the grid
+        # and 0.1 from no orbit of it; the walk from 0 leaves the allowed set
+        # {0}; and the empty relation E holds no orbit
+        allowed = None
+        if case == "off-grid image":
+            s = rotation_system(GOLDEN_ALPHA, 1)
+            e, basis = make_epsilon_entourage(s.space, 0.1), dyadic_basis(s.space, 3)
+        else:
+            s = odometer_system(2)
+            e, basis = make_epsilon_entourage(s.space, 0.5), below_gap_basis(s.space)
+            if case == "allowed set":
+                allowed = {0}
+            else:
+                e = Entourage.from_pairs(s.space, [], "empty", close=False)
+        assert candidate_levels(basis)[0].is_diagonal_only()
+        report = estimate_shadowing_modulus(s, e, basis, 2, 5, 7, allowed=allowed)
+        assert not report.found
+        assert report == modulus_scan_bruteforce(s, e, basis, 2, 5, 7, allowed)
+
+    def test_scan_matches_the_plain_level_loop(self):
+        # every field of the report, with and without an allowed set, for a
+        # metric and for an explicit E, reflexive or not.  The oracle samples
+        # every level, so it also checks the diagonal levels that the scan
+        # passes unsampled: about half the draws on a discrete space take a
+        # basis that reaches below the gap, a metric E and no allowed set
+        diagonal_passes = []
+
+        @given(data=st.data())
+        @settings(max_examples=150, deadline=None)
+        def check(data):
+            system = data.draw(scan_systems())
+            space = system.space
+            n, h = space.n, space.resolution
+            depth = data.draw(st.integers(2, 7))
+            deep = space.gap is not None and data.draw(st.booleans())
+            if deep:  # the finest level 2^-(depth - 1) lies below the gap
+                depth = max(depth, int(math.log2(1 / space.gap)) + 2)
+            basis = dyadic_basis(space, depth)
+            if deep or data.draw(st.booleans()):
+                e = make_epsilon_entourage(
+                    space, data.draw(st.sampled_from((h / 2, h, 2 * h, 0.25))))
+            else:
+                index = st.integers(0, n - 1)
+                pairs = data.draw(st.lists(st.tuples(index, index)))
+                e = Entourage.from_pairs(space, pairs, "pairs", close=data.draw(st.booleans()))
+            allowed = None if deep else data.draw(
+                st.none() | st.sets(st.integers(0, n - 1), min_size=1))
+            trials, length = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
+            seed = data.draw(st.integers(0, 10**6))
+            got = estimate_shadowing_modulus(
+                system, e, basis, trials, length, seed, allowed=allowed)
+            expected = modulus_scan_bruteforce(system, e, basis, trials, length, seed, allowed)
+            assert got == expected
+            diagonal_passes.append(
+                got.found and got.modulus.is_diagonal_only() and e.scale is not None
+                and allowed is None and all(x[3] is not None for x in system.grid_images))
+
+        check()
+        assert sum(diagonal_passes) >= 5  # 18 to 59 over 30 hypothesis seeds
 
     def test_forced_orbits_draw_once_and_each_distinct_orbit_is_searched_once(
         self, monkeypatch
     ):
-        # odometer-6 at E = 2h: the scan passes at the first level below the
-        # gap, where each uniform orbit draws only its start; an exact orbit
-        # needs no search, and a repeated one is searched once
+        # odometer-6 at E = 2h: the drift orbit fails at each of the seven
+        # levels down to the gap, and the scan passes at the first level below
+        # it, the diagonal, where every pseudo-orbit is an exact orbit, so it
+        # generates none there
         import chaindyn.shadowing as shadowing
 
         s = odometer_system(6)
         e = make_epsilon_entourage(s.space, 2 * s.space.resolution)
         generate = shadowing.generate_pseudo_orbit
-        draws, searched = counting_draws(monkeypatch), recording_searches(monkeypatch)
-        per_orbit, orbits = {}, []
+        searched, orbits = recording_searches(monkeypatch), []
 
         def generated(system, d, length, seed, mode, **kwargs):
-            before = len(draws)
-            orbit = generate(system, d, length, seed, mode, **kwargs)
-            per_orbit[d.label, mode, seed] = len(draws) - before
-            orbits.append(orbit)
-            return orbit
+            orbits.append(generate(system, d, length, seed, mode, **kwargs))
+            return orbits[-1]
 
         monkeypatch.setattr(shadowing, "generate_pseudo_orbit", generated)
         report = estimate_shadowing_modulus(
             s, e, dyadic_basis(s.space, 8), trials=20, length=100, seed=7)
         assert report.found and report.modulus.is_diagonal_only()
         level = report.modulus.label
-        uniform = [k for k in per_orbit if k[:2] == (level, "uniform")]
-        assert len(uniform) == 20
-        assert all(per_orbit[k] == 1 for k in uniform)  # one draw per step would be 101
+        assert orbits and not [o for o in orbits if o.entourage_label == level]
+        assert sorted(searched) == sorted(o.states for o in orbits)
+        assert len(searched) == 7  # sampling the diagonal would add 21 exact orbits
+        # a uniform orbit at that level is forced at every step: it draws only its start
+        draws = counting_draws(monkeypatch)
+        orbit = generate(s, report.modulus, 100, 7 * 1_000_003, "uniform")
+        assert len(draws) == 1  # one draw per step would be 101
         images = s.grid_images
-        exact = {o.states for o in orbits
-                 if all(images[x][3] == y for x, y in zip(o.states, o.states[1:]))}
-        assert exact
-        assert sorted(searched) == sorted({o.states for o in orbits} - exact)
-        assert len(searched) == 7  # one search per orbit would be 28
+        assert all(images[x][3] == y for x, y in zip(orbit.states, orbit.states[1:]))
 
     def test_a_repeated_orbit_is_searched_once(self, monkeypatch):
         # on doubling-96 the drift orbit 0, 95, 95, ... is the same at all

@@ -19,16 +19,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ChainDynError", "DiscretizationTooCoarseError", "IncompatibleSpaceError",
-        "InvalidCoverError", "InvalidParameterError", "MalformedSpecError",
-        "NoCoprimeCyclesError", "NoCycleError", "NoNonwanderingPointsError",
-        "NotCoprimeError", "OutOfRangeError", "ResourceLimitError",
-        "UndefinedDiameterError", "ValidationError",
+        "InvalidParameterError", "MalformedSpecError", "NoCycleError",
+        "NoNonwanderingPointsError", "NotCoprimeError", "OutOfRangeError",
+        "ResourceLimitError", "UndefinedDiameterError", "ValidationError",
     ),
     "uniform": (
         "AxiomReport", "Entourage", "FinitePhaseSpace", "Geometry", "UniformityBasis",
-        "circle_grid", "compose", "cross_section", "diagonal_entourage", "discrete_grid",
-        "dyadic_basis", "interval_grid", "make_epsilon_entourage", "power",
-        "refining_entourage", "verify_uniformity_axioms",
+        "circle_grid", "compose", "diagonal_entourage", "discrete_grid", "dyadic_basis",
+        "interval_grid", "make_epsilon_entourage", "verify_uniformity_axioms",
     ),
     "systems": (
         "GOLDEN_ALPHA", "MapEvaluation", "MapKind", "SystemSpec", "cantor_space",
@@ -38,10 +36,9 @@ _EXPORTS = {
     ),
     "chaingraph": (
         "ChainAnalysis", "TransitionGraph", "build_transition_graph", "chain_diameter",
-        "chain_recurrent_set", "closed_walk_lengths", "cyclic_classes",
-        "find_coprime_cycles", "graph_from_edges", "graph_period", "is_chain_mixing",
-        "is_chain_transitive", "is_totally_chain_transitive", "power_graph",
-        "strongly_connected_components",
+        "chain_recurrent_set", "cyclic_classes", "graph_from_edges", "graph_period",
+        "is_chain_mixing", "is_chain_transitive", "is_totally_chain_transitive",
+        "power_graph", "strongly_connected_components",
     ),
     "semigroup": (
         "GeneratorSet", "frobenius_bound", "gcd_set", "realizable_length_bound",
@@ -50,15 +47,12 @@ _EXPORTS = {
     "shadowing": (
         "DichotomyReport", "IsobasismReport", "IterateConsistencyReport", "PseudoOrbit",
         "ShadowReport", "ShadowingModulusReport", "disconnectedness_dichotomy",
-        "estimate_shadowing_modulus", "export_pseudo_orbit", "find_shadow_point",
-        "generate_pseudo_orbit", "import_pseudo_orbit", "isobasism_check",
-        "iterate_shadowing_check", "verify_pseudo_orbit",
+        "estimate_shadowing_modulus", "find_shadow_point", "generate_pseudo_orbit",
+        "isobasism_check", "iterate_shadowing_check", "verify_pseudo_orbit",
     ),
     "recurrence": (
-        "OmegaShadowingReport", "ReturnSetClassification", "ReturnTimeSet",
-        "classify_return_set", "nonwandering_points", "omega_limit",
-        "omega_restriction_shadowing", "omega_subset_of_chain_recurrent", "return_times",
-        "weak_mixing_witness",
+        "OmegaShadowingReport", "nonwandering_points", "omega_limit",
+        "omega_restriction_shadowing", "omega_subset_of_chain_recurrent",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -7,9 +7,9 @@ that graph this module computes chain recurrence (vertices on cycles),
 chain transitivity (strong connectivity, by a forward and a backward sweep
 from vertex 0), the component period (gcd of cycle lengths, via BFS level
 labeling), the cyclic class partition, chain mixing (transitive + period
-1), the chain diameter, and coprime cycle pairs.  :class:`ChainAnalysis`
-computes components, periods and classes in one Tarjan pass; the graphs of
-f^2, ..., f^n_max behind total chain transitivity need only the sweeps.
+1) and the chain diameter.  :class:`ChainAnalysis` computes components,
+periods and classes in one Tarjan pass; the graphs of f^2, ..., f^n_max
+behind total chain transitivity need only the sweeps.
 
 Graphs of iterated maps are built from exact n-fold images, each table
 stepped once from the (n-1)-fold one, never by composing the one-step
@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import _parallel
 from .errors import (
-    NoCoprimeCyclesError,
     NoCycleError,
     OutOfRangeError,
     UndefinedDiameterError,
@@ -36,25 +35,6 @@ from .errors import (
 )
 from .systems import SystemSpec
 from .uniform import Entourage, mask_indices
-
-__all__ = [
-    "TransitionGraph",
-    "ChainAnalysis",
-    "build_transition_graph",
-    "image_successors",
-    "strongly_connected_components",
-    "chain_recurrent_set",
-    "is_chain_transitive",
-    "graph_period",
-    "cyclic_classes",
-    "is_chain_mixing",
-    "is_totally_chain_transitive",
-    "chain_diameter",
-    "find_coprime_cycles",
-    "closed_walk_lengths",
-    "power_graph",
-    "graph_from_edges",
-]
 
 
 @dataclass(frozen=True)
@@ -330,49 +310,6 @@ def _walk_step(masks: list[int], reach: int) -> int:
     for v in mask_indices(reach):
         nxt |= masks[v]
     return nxt
-
-
-def _closed_walks(g: TransitionGraph, x: int, max_length: int) -> Iterator[int]:
-    """Lengths ell <= max_length of the closed walks x -> x, ascending, one step at a time."""
-    if not 0 <= x < g.n:
-        raise OutOfRangeError(f"vertex {x} out of range")
-    masks = _successor_masks(g)
-    reach = xbit = 1 << x
-    for ell in range(1, max_length + 1):
-        reach = _walk_step(masks, reach)
-        if reach & xbit:
-            yield ell
-        if not reach:
-            return
-
-
-def closed_walk_lengths(g: TransitionGraph, x: int, max_length: int) -> list[int]:
-    """Lengths ell <= max_length admitting a closed walk (chain) x -> x."""
-    return list(_closed_walks(g, x, max_length))
-
-
-def find_coprime_cycles(g: TransitionGraph, x: int) -> tuple[int, int]:
-    """Two cycle lengths through x with gcd 1.
-
-    Walks the closed-walk lengths through x in increasing order and stops
-    at the first coprime pair: the smallest b, then the smallest a.
-    Guaranteed to exist when the graph is strongly connected with period
-    1; otherwise raises :class:`NoCoprimeCyclesError`.
-    """
-    if not 0 <= x < g.n:
-        raise OutOfRangeError(f"vertex {x} out of range")
-    if not is_chain_mixing(g):
-        raise NoCoprimeCyclesError("graph is not strongly connected with period 1")
-    # Period 1 implies consecutive walk lengths appear within the Wielandt
-    # bound, so the cap below always suffices.
-    cap = (g.n - 1) ** 2 + g.n + 2
-    lengths: list[int] = []
-    for b in _closed_walks(g, x, cap):
-        for a in lengths:
-            if math.gcd(a, b) == 1:
-                return (a, b)
-        lengths.append(b)
-    raise NoCoprimeCyclesError("no coprime cycle pair found within the search cap")
 
 
 def power_graph(g: TransitionGraph, k: int) -> TransitionGraph:

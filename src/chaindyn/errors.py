@@ -22,10 +22,6 @@ class OutOfRangeError(ChainDynError, IndexError):
     """A point or component index does not exist."""
 
 
-class InvalidCoverError(ChainDynError, ValueError):
-    """A purported cover does not cover the space."""
-
-
 class MalformedSpecError(ChainDynError, ValueError):
     """A system spec file could not be parsed."""
 
@@ -40,10 +36,6 @@ class NoCycleError(ChainDynError, ValueError):
 
 class UndefinedDiameterError(ChainDynError, ValueError):
     """Chain diameter requested for a graph that is not chain transitive."""
-
-
-class NoCoprimeCyclesError(ChainDynError, ValueError):
-    """No pair of coprime cycle lengths exists (period is not 1)."""
 
 
 class NotCoprimeError(ChainDynError, ValueError):

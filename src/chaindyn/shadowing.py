@@ -461,80 +461,6 @@ def isobasism_check(system: SystemSpec, basis: UniformityBasis) -> IsobasismRepo
     return IsobasismReport(mode, tuple(levels))
 
 
-def export_pseudo_orbit(orbit: PseudoOrbit, system: SystemSpec) -> str:
-    """Plain-text record: header plus one ``index image-coords chosen-index`` line per step."""
-    system.space.check_indices(orbit.states, "orbit")
-    lines = [
-        "# chaindyn pseudo-orbit v1",
-        f"# system: {system.name}",
-        f"# entourage: {orbit.entourage_label}",
-        f"# seed: {orbit.seed}",
-    ]
-    for x, y in zip(orbit.states, orbit.states[1:]):
-        coords = ",".join(repr(c) for c in system.grid_images[x][0])
-        lines.append(f"{x} {coords} {y}")
-    return "\n".join(lines) + "\n"
-
-
-def _record_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParameterError(f"pseudo-orbit record has a non-integer {text!r}") from None
-
-
-def _record_index(text: str) -> int:
-    index = _record_int(text)
-    check_count(index, "a pseudo-orbit record index", 0)
-    return index
-
-
-def import_pseudo_orbit(text: str) -> tuple[PseudoOrbit, dict[str, str]]:
-    """Parse a record written by :func:`export_pseudo_orbit`.
-
-    Raises :class:`InvalidParameterError` for a line that is not a
-    non-negative index, comma-separated float image coordinates and a
-    non-negative index, or that does not start where the previous one ended.
-    """
-    header: dict[str, str] = {}
-    states: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("# ").split(":", 1)
-            if len(body) == 2:
-                header[body[0].strip()] = body[1].strip()
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise InvalidParameterError(f"malformed pseudo-orbit line: {line!r}")
-        idx, nxt = _record_index(parts[0]), _record_index(parts[2])
-        try:
-            for c in parts[1].split(","):
-                float(c)
-        except ValueError:
-            raise InvalidParameterError(
-                f"pseudo-orbit line {line!r} has no float image coordinates"
-            ) from None
-        if not states:
-            states.append(idx)
-        elif idx != states[-1]:
-            raise InvalidParameterError(f"pseudo-orbit line {line!r} does not chain on")
-        states.append(nxt)
-    if len(states) < 2:
-        raise InvalidParameterError("pseudo-orbit record has no steps")
-    seed_raw = header.get("seed", "None")
-    seed = None if seed_raw == "None" else _record_int(seed_raw)
-    return (
-        PseudoOrbit(
-            tuple(states), header.get("entourage", ""), seed, tuple(states[1:])
-        ),
-        header,
-    )
-
-
 def disconnectedness_dichotomy(
     space: FinitePhaseSpace,
     e: Entourage,

@@ -411,12 +411,36 @@ def catalog_systems(n: int) -> tuple[SystemSpec, ...]:
 # spec files
 
 
-#: libyaml's loader when PyYAML has it: same constructor and resolver, same documents.
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+class _UniqueKeys:
+    """Loader mixin: a mapping that lists one of its own keys twice is a :class:`ValidationError`.
+
+    PyYAML keeps the last value of a repeated key.  A ``<<`` merge key is
+    left to PyYAML, whose merged keys give way to the mapping's own.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # which refuses an unhashable key
+        seen: set[Any] = set()
+        for key_node in own:
+            if (key := self.constructed_objects[key_node]) in seen:
+                raise ValidationError(
+                    f"key {key} is repeated (line {key_node.start_mark.line + 1})")
+            seen.add(key)
+        return mapping
+
+
+#: libyaml's loader when PyYAML has it (same constructor and resolver, same documents),
+#: with the check of repeated keys.
+_LOADER = type("SpecLoader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 
 def parse_spec(path: str) -> dict[str, Any]:
-    """The top-level mapping of a YAML spec file, read and parsed once."""
+    """The top-level mapping of a YAML spec file, read and parsed once.
+
+    A mapping that repeats one of its own keys, at the top level or in the
+    ``analysis`` table, is a :class:`ValidationError` naming the key.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_LOADER)
@@ -452,6 +476,11 @@ def _space_from_points(raw_points: Any, geometry: Geometry) -> FinitePhaseSpace:
     )
     h = _separation(tup, geometry)
     gap = h if geometry == Geometry.DISCRETE else None
+    # every entourage below the gap must be the diagonal, but a metric ball takes
+    # the comparison slack, so at any scale it joins two points within the slack
+    if gap is not None and gap <= COMPARISON_SLACK:
+        raise ValidationError(
+            f"points of a discrete space must lie more than {COMPARISON_SLACK:g} apart")
     return FinitePhaseSpace(tup, geometry, h, gap=gap)
 
 

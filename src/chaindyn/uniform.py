@@ -3,9 +3,8 @@
 A compact uniform space is discretized into a :class:`FinitePhaseSpace`
 (indexed sample points with a geometry-aware distance) and its uniformity
 into :class:`Entourage` relations (reflexive, symmetric index relations)
-organized in a :class:`UniformityBasis`.  The module provides the entourage
-algebra (composition, powers, cross sections), axiom verification, and the
-cover-refinement construction.
+organized in a :class:`UniformityBasis`.  The module provides entourage
+composition and the axiom verification.
 
 Design notes baked into this module:
 
@@ -46,7 +45,6 @@ from typing import Collection, Iterable, Sequence
 
 from .errors import (
     IncompatibleSpaceError,
-    InvalidCoverError,
     InvalidParameterError,
     OutOfRangeError,
     ResourceLimitError,
@@ -558,22 +556,6 @@ def compose(e1: Entourage, e2: Entourage) -> Entourage:
     return Entourage(e1.space, tuple(rows), f"({e1.label}*{e2.label})", None)
 
 
-def power(e: Entourage, n: int) -> Entourage:
-    """n-fold composition E^n; power(e, 1) is e itself."""
-    check_count(n, "n")
-    if n == 1:
-        return e
-    result = e
-    for _ in range(n - 1):
-        result = compose(result, e)
-    return Entourage(result.space, result.rows, f"{e.label}^{n}", None)
-
-
-def cross_section(e: Entourage, x: int) -> frozenset[int]:
-    """E[x]: the set of indices related to x.  Contains x for any honest entourage."""
-    return frozenset(e.row(x))
-
-
 @dataclass(frozen=True)
 class UniformityBasis:
     """Finite descending chain of entourages, ending at the diagonal floor.
@@ -672,26 +654,3 @@ def verify_uniformity_axioms(basis: UniformityBasis) -> AxiomReport:
             )
         )
     return AxiomReport(tuple(reports), basis.floor.is_diagonal_only())
-
-
-def refining_entourage(
-    basis: UniformityBasis, cover: Sequence[Iterable[int]]
-) -> Entourage:
-    """Coarsest basis level D whose cross sections refine the cover.
-
-    Returns the first level (coarse to fine) such that every D[x] is
-    contained in some cover member.  Raises :class:`InvalidCoverError`
-    when the cover does not cover the space.
-    """
-    n = basis.space.n
-    members = [frozenset(m) for m in cover]
-    covered: set[int] = set()
-    for m in members:
-        basis.space.check_indices(m, "cover member")
-        covered |= m
-    if covered != set(range(n)):
-        raise InvalidCoverError("cover does not cover the space")
-    for lvl in basis.levels:
-        if all(any(row <= m for m in members) for row in lvl.rows):
-            return lvl
-    raise InvalidCoverError("no basis level refines the cover (missing diagonal floor?)")

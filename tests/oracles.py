@@ -213,22 +213,6 @@ def nonwandering_bruteforce(system, scale, horizon: int) -> tuple[int, ...]:
     return tuple(result)
 
 
-def return_times_bruteforce(system, us, vs, horizon: int) -> tuple[int, ...]:
-    """Times t in [0, horizon] at which the snapped float orbit of some x in us lies in vs."""
-    vs = set(vs)
-    return tuple(sorted({
-        t for x in set(us)
-        for t, idx in enumerate(snapped_orbit_bruteforce(system, x, horizon)) if idx in vs
-    }))
-
-
-def weak_mixing_bruteforce(system, us, vs, horizon: int) -> int | None:
-    """Least t >= 1 at which us returns both to itself and to vs, or None."""
-    uu = set(return_times_bruteforce(system, us, us, horizon))
-    uv = set(return_times_bruteforce(system, us, vs, horizon))
-    return min((t for t in uu & uv if t >= 1), default=None)
-
-
 def on_cycle_bruteforce(g: TransitionGraph, x: int) -> bool:
     """Reachability of x from itself in >= 1 steps, by frontier expansion."""
     seen: set[int] = set()

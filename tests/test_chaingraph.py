@@ -10,7 +10,6 @@ from chaindyn import (
     ChainAnalysis,
     Entourage,
     GOLDEN_ALPHA,
-    NoCoprimeCyclesError,
     NoCycleError,
     TransitionGraph,
     UndefinedDiameterError,
@@ -19,10 +18,8 @@ from chaindyn import (
     chain_diameter,
     chain_recurrent_set,
     circle_grid,
-    closed_walk_lengths,
     cyclic_classes,
     doubling_system,
-    find_coprime_cycles,
     graph_from_edges,
     graph_period,
     identity_system,
@@ -342,13 +339,20 @@ def test_two_sweeps_match_networkx_and_the_analysis(case):
         assert chaingraph._reached(g.succ) == n and not expected
 
 
+def apart(coords):
+    """Whether distinct ``coords`` lie more than the slack apart, as a discrete list must."""
+    xs = sorted(coords)
+    return all(b == a or b - a > COMPARISON_SLACK for a, b in zip(xs, xs[1:]))
+
+
 @st.composite
 def points_systems(draw):
     """A system on a ``points:`` list, loaded as a spec file's document would be.
 
     Interval and circle lists have neighbour gaps of one or two units, so
     neighbours lie within 2h, in ascending or descending order (an unsorted
-    space); discrete lists may repeat a point; product-of-circles lists are
+    space); discrete lists may repeat a point, and keep distinct points more
+    than the slack apart, as the loader requires; product-of-circles lists are
     two-dimensional and carry the identity.  A discrete list of distinct
     points may carry a permutation instead.
     """
@@ -360,9 +364,8 @@ def points_systems(draw):
         points = draw(st.lists(st.lists(cell, min_size=2, max_size=2), min_size=n, max_size=n))
     elif geometry == "discrete":
         coord = st.floats(0.0, 1.0) | st.integers(0, 8).map(lambda k: k / 8)
-        points = draw(st.lists(coord, min_size=n, max_size=n))
-        xs = sorted(points)  # the loader refuses a permutation over points within the slack
-        if all(b - a > COMPARISON_SLACK for a, b in zip(xs, xs[1:])) and draw(st.booleans()):
+        points = draw(st.lists(coord, min_size=n, max_size=n).filter(apart))
+        if len(set(points)) == n and draw(st.booleans()):
             order = draw(st.permutations(range(n)))
             cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
             bounds = [0, *(c for c in cuts if c < n), n]
@@ -473,53 +476,6 @@ class TestDiameter:
         assert max(first.values()) == M
 
 
-class TestCoprimeCycles:
-    def test_self_loop_pairs_with_anything(self):
-        # chains are walks, so the doubled self-loop realizes length 2 and
-        # the first coprime pair is (1, 2)
-        g = graph_from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 0)])
-        pair = find_coprime_cycles(g, 0)
-        assert pair == (1, 2)
-        assert pair[0] == 1 and math.gcd(*pair) == 1
-
-    def test_lengths_four_six_nine(self):
-        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-        edges += [(0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 0)]
-        edges += [(0, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 14), (14, 15), (15, 16), (16, 0)]
-        g = graph_from_edges(17, edges)
-        assert find_coprime_cycles(g, 0) == (4, 9)
-
-    def test_pure_cycle_has_none(self):
-        with pytest.raises(NoCoprimeCyclesError):
-            find_coprime_cycles(ring(4), 0)
-
-    def test_returned_lengths_are_realizable(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            g = random_strongly_connected(rng, n_max=8)
-            if not is_chain_mixing(g):
-                continue
-            a, b = find_coprime_cycles(g, 0)
-            assert math.gcd(a, b) == 1
-            lengths = set(loop_lengths_bruteforce(g, 0, max(a, b)))
-            assert a in lengths and b in lengths
-
-    def test_stops_at_the_first_coprime_pair(self, monkeypatch):
-        # the walk ends at b, the larger length of the pair, not at the
-        # Wielandt cap, which is 65,283 steps away here
-        s = doubling_system(256)
-        g = build_transition_graph(s, make_epsilon_entourage(s.space, 2 * s.space.resolution))
-        step, steps = chaingraph._walk_step, []
-
-        def counted(masks, reach):
-            steps.append(reach)
-            return step(masks, reach)
-
-        monkeypatch.setattr(chaingraph, "_walk_step", counted)
-        a, b = find_coprime_cycles(g, 0)
-        assert (a, b) == (1, 2) and len(steps) == b
-
-
 class TestPathChainCorrespondence:
     def test_paths_are_chains_and_conversely(self):
         rng = random.Random(11)
@@ -621,15 +577,6 @@ class TestSCC:
             g = build_transition_graph(
                 system, make_epsilon_entourage(system.space, 2 * system.space.resolution))
             assert strongly_connected_components(g) == kosaraju(g), system.name
-
-    def test_closed_walk_lengths_match_bruteforce(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            g = random_strongly_connected(rng, n_max=7)
-            for v in range(g.n):
-                assert closed_walk_lengths(g, v, 15) == loop_lengths_bruteforce(
-                    g, v, 15
-                )
 
 
 @given(

@@ -407,6 +407,12 @@ class TestErrorsAndDefaults:
              "unacceptable character #x0000"),
             ("name: [1]\nmap: doubling\ngeometry: circle\ngrid_n: 16\n", "ValidationError",
              "name must be of type str"),
+            # a repeated key, where PyYAML would keep the last value, and a discrete
+            # list whose gap is within the slack that every metric ball takes
+            ("name: d\nmap: doubling\ngeometry: circle\ngrid_n: 16\ngrid_n: 32\n",
+             "ValidationError", "key grid_n is repeated (line 5)"),
+            ("map: identity\ngeometry: discrete\npoints: [0.0, 1.0e-13, 0.5]\n",
+             "ValidationError", "points of a discrete space must lie more than 1e-12 apart"),
         ],
     )
     def test_spec_refused_at_load(self, tmp_path, capsys, spec_text, error, fragment):

@@ -8,10 +8,10 @@ another size an :class:`IncompatibleSpaceError`; neither leaks a bare
 ``int`` (a float, a string or a bool) is an :class:`InvalidParameterError`,
 never a bare ``TypeError`` or a grid of ``True`` points.
 
-The remaining guards, on malformed spaces, systems, bases, covers, allowed
-sets and report formats, are listed in ``MALFORMED`` with the error each
-raises, and the edge cases that are answers, not errors (a walk that dies,
-a blank record line, an empty report value), have a test each.
+The remaining guards, on malformed spaces, systems, bases, allowed sets
+and report formats, are listed in ``MALFORMED`` with the error each
+raises, and an edge case that is an answer, not an error (an empty report
+value), has a test.
 """
 
 import re
@@ -27,7 +27,6 @@ from chaindyn import (
     GeneratorSet,
     Geometry,
     IncompatibleSpaceError,
-    InvalidCoverError,
     InvalidParameterError,
     MapKind,
     OutOfRangeError,
@@ -38,22 +37,17 @@ from chaindyn import (
     build_transition_graph,
     cantor_space,
     circle_grid,
-    closed_walk_lengths,
     compose,
-    cross_section,
     disconnectedness_dichotomy,
     discrete_grid,
     doubling_system,
     dyadic_basis,
     estimate_shadowing_modulus,
     evaluate,
-    export_pseudo_orbit,
-    find_coprime_cycles,
     find_shadow_point,
     generate_pseudo_orbit,
     graph_from_edges,
     graph_period,
-    import_pseudo_orbit,
     interval_grid,
     is_totally_chain_transitive,
     isobasism_check,
@@ -66,13 +60,9 @@ from chaindyn import (
     omega_subset_of_chain_recurrent,
     odometer_system,
     permutation_system,
-    power,
     power_graph,
-    refining_entourage,
     representable,
-    return_times,
     verify_pseudo_orbit,
-    weak_mixing_witness,
 )
 from chaindyn.cli import Report, _text_value, render
 
@@ -102,14 +92,8 @@ INDEX_TAKERS = {
     "TransitionGraph.has_edge-y": lambda i: GRAPH.has_edge(0, i),
     "graph_from_edges": lambda i: graph_from_edges(N, [(0, 1), (0, i)]),
     "graph_period": lambda i: graph_period(GRAPH, i),  # GRAPH has one component
-    "closed_walk_lengths": lambda i: closed_walk_lengths(GRAPH, i, 3),
-    "find_coprime_cycles": lambda i: find_coprime_cycles(GRAPH, i),
     "from_pairs": lambda i: Entourage.from_pairs(SPACE, [(0, i)], "p"),
-    "cross_section": lambda i: cross_section(D, i),
-    "refining_entourage": lambda i: refining_entourage(BASIS, [range(N), [i]]),
     "evaluate": lambda i: evaluate(SYSTEM, i, 1),
-    "return_times": lambda i: return_times(SYSTEM, [0], [i], 5),
-    "weak_mixing_witness": lambda i: weak_mixing_witness(SYSTEM, [i], [0], 5),
     "omega_limit": lambda i: omega_limit(SYSTEM, i, 1, 5),
     "generate_pseudo_orbit-start": lambda i: generate_pseudo_orbit(SYSTEM, D, 5, 0, start=i),
     "generate_pseudo_orbit-target": lambda i: generate_pseudo_orbit(
@@ -121,8 +105,6 @@ INDEX_TAKERS = {
     "find_shadow_point-orbit": lambda i: find_shadow_point(orbit(i, 0), D, SYSTEM),
     "find_shadow_point-candidates": lambda i: find_shadow_point(
         orbit(0, 0), D, SYSTEM, candidates=[0, i]),
-    "export_pseudo_orbit-first": lambda i: export_pseudo_orbit(orbit(i, 0), SYSTEM),
-    "export_pseudo_orbit-last": lambda i: export_pseudo_orbit(orbit(0, i), SYSTEM),
 }
 
 SPACE_TAKERS = {
@@ -160,13 +142,10 @@ NON_INTEGER_TAKERS = {
     "interval_grid": interval_grid,
     "discrete_grid": discrete_grid,
     "dyadic_basis": lambda v: dyadic_basis(SPACE, v),
-    "power": lambda v: power(D, v),
     "graph_from_edges": lambda v: graph_from_edges(v, []),
     "power_graph": lambda v: power_graph(GRAPH, v),
     "is_totally_chain_transitive": lambda v: is_totally_chain_transitive(SYSTEM, D, v),
     "nonwandering_points": lambda v: nonwandering_points(SYSTEM, D, v),
-    "return_times": lambda v: return_times(SYSTEM, [0], [1], v),
-    "weak_mixing_witness": lambda v: weak_mixing_witness(SYSTEM, [0], [1], v),
     "omega_limit-transient": lambda v: omega_limit(SYSTEM, 0, v, 20),
     "omega_limit-horizon": lambda v: omega_limit(SYSTEM, 0, 1, v),
     "estimate_shadowing_modulus": lambda v: estimate_shadowing_modulus(SYSTEM, D, BASIS, v, 5, 0),
@@ -192,13 +171,6 @@ def test_index_off_the_grid_is_out_of_range(call, index):
 def test_object_over_another_space_is_incompatible(call):
     with pytest.raises(IncompatibleSpaceError):
         call()
-
-
-def test_imported_orbit_off_the_grid_is_out_of_range():
-    # the record format admits any non-negative index; the system decides
-    imported, _ = import_pseudo_orbit("0 0.0 99\n")
-    with pytest.raises(OutOfRangeError):
-        verify_pseudo_orbit(imported, SYSTEM, D)
 
 
 def test_graph_of_negative_size_is_invalid():
@@ -259,10 +231,6 @@ MALFORMED = {
         lambda: UniformityBasis(()), InvalidParameterError, "at least one level"),
     "UniformityBasis.by_label-miss": (
         lambda: BASIS.by_label("eps=7"), OutOfRangeError, "no basis level labeled 'eps=7'"),
-    "refining_entourage-no-level-refines": (
-        # a basis without its diagonal floor: every row of D holds 9 points
-        lambda: refining_entourage(UniformityBasis((D,)), [[x] for x in range(N)]),
-        InvalidCoverError, "no basis level refines"),
     "generate_pseudo_orbit-allowed-empty": (
         lambda: generate_pseudo_orbit(SYSTEM, D, 5, 0, allowed=set()),
         InvalidParameterError, "allowed set is empty"),
@@ -276,16 +244,6 @@ MALFORMED = {
 def test_malformed_argument_is_refused(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
-
-
-def test_walk_that_dies_has_no_closed_walk_lengths():
-    # 0 -> 1 and no edge out of 1: the walk from 0 is empty after two steps
-    assert closed_walk_lengths(graph_from_edges(2, [(0, 1)]), 0, 5) == []
-
-
-def test_imported_orbit_skips_blank_lines():
-    imported, header = import_pseudo_orbit("# seed: 3\n\n0 0.0 1\n   \n1 0.5 2\n\n")
-    assert imported.states == (0, 1, 2) and imported.seed == 3 and header == {"seed": "3"}
 
 
 @pytest.mark.parametrize("value", [[], {}], ids=["list", "dict"])

@@ -9,35 +9,33 @@ import chaindyn
 #: The public names, by the submodule that defines them; each submodule's name is public too.
 PUBLIC = {
     "errors": """ChainDynError DiscretizationTooCoarseError IncompatibleSpaceError
-        InvalidCoverError InvalidParameterError MalformedSpecError NoCoprimeCyclesError
-        NoCycleError NoNonwanderingPointsError NotCoprimeError OutOfRangeError
-        ResourceLimitError UndefinedDiameterError ValidationError""".split(),
+        InvalidParameterError MalformedSpecError NoCycleError NoNonwanderingPointsError
+        NotCoprimeError OutOfRangeError ResourceLimitError UndefinedDiameterError
+        ValidationError""".split(),
     "uniform": """AxiomReport Entourage FinitePhaseSpace Geometry UniformityBasis circle_grid
-        compose cross_section diagonal_entourage discrete_grid dyadic_basis interval_grid
-        make_epsilon_entourage power refining_entourage verify_uniformity_axioms""".split(),
+        compose diagonal_entourage discrete_grid dyadic_basis interval_grid
+        make_epsilon_entourage verify_uniformity_axioms""".split(),
     "systems": """GOLDEN_ALPHA MapEvaluation MapKind SystemSpec cantor_space catalog_systems
         doubling_system evaluate identity_system iterate load_system odometer_system
         permutation_system rotation_system square_system step tent_system""".split(),
     "chaingraph": """ChainAnalysis TransitionGraph build_transition_graph chain_diameter
-        chain_recurrent_set closed_walk_lengths cyclic_classes find_coprime_cycles
-        graph_from_edges graph_period is_chain_mixing is_chain_transitive
-        is_totally_chain_transitive power_graph strongly_connected_components""".split(),
+        chain_recurrent_set cyclic_classes graph_from_edges graph_period is_chain_mixing
+        is_chain_transitive is_totally_chain_transitive power_graph
+        strongly_connected_components""".split(),
     "semigroup": """GeneratorSet frobenius_bound gcd_set realizable_length_bound
         representable""".split(),
     "shadowing": """DichotomyReport IsobasismReport IterateConsistencyReport PseudoOrbit
         ShadowReport ShadowingModulusReport disconnectedness_dichotomy
-        estimate_shadowing_modulus export_pseudo_orbit find_shadow_point
-        generate_pseudo_orbit import_pseudo_orbit isobasism_check iterate_shadowing_check
-        verify_pseudo_orbit""".split(),
-    "recurrence": """OmegaShadowingReport ReturnSetClassification ReturnTimeSet
-        classify_return_set nonwandering_points omega_limit omega_restriction_shadowing
-        omega_subset_of_chain_recurrent return_times weak_mixing_witness""".split(),
+        estimate_shadowing_modulus find_shadow_point generate_pseudo_orbit isobasism_check
+        iterate_shadowing_check verify_pseudo_orbit""".split(),
+    "recurrence": """OmegaShadowingReport nonwandering_points omega_limit
+        omega_restriction_shadowing omega_subset_of_chain_recurrent""".split(),
 }
 NAMES = sorted([*PUBLIC, *(name for names in PUBLIC.values() for name in names)])
 
 
 def test_all_holds_the_pinned_names():
-    assert len(NAMES) == 99
+    assert len(NAMES) == 85
     assert sorted(chaindyn.__all__) == NAMES
 
 

@@ -13,13 +13,10 @@ from chaindyn import (
     SystemSpec,
     InvalidParameterError,
     NoNonwanderingPointsError,
-    ReturnTimeSet,
     build_transition_graph,
     cantor_space,
     catalog_systems,
     chain_recurrent_set,
-    classify_return_set,
-    cross_section,
     doubling_system,
     dyadic_basis,
     identity_system,
@@ -33,57 +30,16 @@ from chaindyn import (
     omega_subset_of_chain_recurrent,
     odometer_system,
     permutation_system,
-    return_times,
     rotation_system,
     square_system,
     tent_system,
-    weak_mixing_witness,
 )
 
 from oracles import (
     chain_scale,
     nonwandering_bruteforce,
     omega_limit_bruteforce,
-    return_times_bruteforce,
-    weak_mixing_bruteforce,
 )
-
-EQUICONTINUOUS = ("identity", "rotation-golden", "cycle-shift", "odometer-5")
-
-
-def ball(system, x, eps):
-    return sorted(cross_section(make_epsilon_entourage(system.space, eps), x))
-
-
-class TestReturnTimes:
-    def test_fixed_point_returns_always(self):
-        s = square_system(16)
-        rt = return_times(s, [0], [0], 25)
-        assert rt.times == tuple(range(26))
-        assert rt.kind == "point-in-set"
-
-    def test_quarter_rotation_period_four(self):
-        s = rotation_system(0.25, 16)
-        u = ball(s, 0, 0.1)  # strictly inside the quarter step
-        rt = return_times(s, u, u, 100)
-        assert rt.times == tuple(range(0, 101, 4))
-        assert rt.kind == "set-to-set"
-
-    def test_square_map_leaves_the_middle(self):
-        s = square_system(101)  # 0.5 on-grid at index 50
-        u = ball(s, 50, 0.05)
-        rt = return_times(s, u, u, 50)
-        assert rt.times == (0,)
-
-    def test_empty_sets_rejected(self):
-        s = square_system(16)
-        with pytest.raises(InvalidParameterError):
-            return_times(s, [], [0], 10)
-
-    def test_zero_included_iff_sets_meet(self):
-        s = rotation_system(0.25, 16)
-        assert 0 in return_times(s, [0, 1], [1, 2], 10).times
-        assert 0 not in return_times(s, [0], [2], 10).times
 
 
 class TestNonwandering:
@@ -190,19 +146,11 @@ def recurrence_systems(draw):
 @settings(max_examples=100, deadline=None)
 def test_snapped_orbits_match_the_float_loop(data):
     system = data.draw(recurrence_systems())
-    n, h = system.space.n, system.space.resolution
+    h = system.space.resolution
     horizon = data.draw(st.sampled_from((1, 7, 100)))
     scale = make_epsilon_entourage(system.space, data.draw(st.sampled_from((h / 2, h, 2 * h))))
     assert nonwandering_points(system, scale, horizon) == nonwandering_bruteforce(
         system, scale, horizon
-    )
-    indices = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
-    u, v = data.draw(indices), data.draw(indices)
-    assert return_times(system, u, v, horizon).times == return_times_bruteforce(
-        system, u, v, horizon
-    )
-    assert weak_mixing_witness(system, u, v, horizon) == weak_mixing_bruteforce(
-        system, u, v, horizon
     )
 
 
@@ -347,73 +295,6 @@ def test_nonwandering_snaps_only_near_each_orbit_start(monkeypatch):
     assert 0 < len(calls) <= 160 * 100 // 10
 
 
-def test_weak_mixing_walks_each_orbit_once(monkeypatch):
-    s = rotation_system(GOLDEN_ALPHA, 64)
-    s.grid_images  # the steps of the table are not counted
-    u, v, horizon = range(6), range(20, 26), 50
-    calls = count_float_steps(monkeypatch, s)
-    return_times(s, u, v, horizon)
-    # the golden orbits never land on the grid, so each takes one table read
-    # and then one float step per time
-    assert len(calls) == len(u) * (horizon - 1)
-    expected = weak_mixing_bruteforce(s, u, v, horizon)
-    calls.clear()
-    assert weak_mixing_witness(s, u, v, horizon) == expected
-    assert len(calls) == len(u) * (horizon - 1)
-
-
-class TestClassification:
-    def test_full_window(self):
-        r = ReturnTimeSet(tuple(range(101)), 100, "set-to-set")
-        c = classify_return_set(r)
-        assert c.syndetic_k == 1
-        assert c.contains_kn == 1
-        assert c.thick
-        assert not c.finite_only
-
-    def test_arithmetic_progression(self):
-        r = ReturnTimeSet(tuple(range(0, 101, 4)), 100, "set-to-set")
-        c = classify_return_set(r)
-        assert c.contains_kn == 4
-        assert c.syndetic_k == 4
-        assert not c.thick
-
-    def test_single_hit_is_finite_only(self):
-        c = classify_return_set(ReturnTimeSet((0,), 100, "point-in-set"))
-        assert c.finite_only
-        assert c.labels == ("finite-only",)
-        assert c.syndetic_k is None
-
-    def test_empty(self):
-        c = classify_return_set(ReturnTimeSet((), 100, "set-to-set"))
-        assert c.empty
-        assert c.labels == ("empty",)
-
-    def test_labels_carry_horizon(self):
-        c = classify_return_set(ReturnTimeSet((0, 50), 100, "set-to-set"))
-        assert c.horizon == 100
-
-
-class TestWeakMixing:
-    def test_doubling_has_witness(self):
-        s = doubling_system(256)
-        e = make_epsilon_entourage(s.space, 2 / 256)
-        u = sorted(cross_section(e, 0))
-        v = sorted(cross_section(e, 64))
-        assert weak_mixing_witness(s, u, v, 64) == 5  # frozen by iteration
-
-    def test_rotation_has_none(self):
-        s = rotation_system(0.25, 128)
-        e = make_epsilon_entourage(s.space, 0.04)
-        u = sorted(cross_section(e, 0))
-        v = sorted(cross_section(e, 13))  # ball near 0.1, off the 4-orbit
-        assert weak_mixing_witness(s, u, v, 200) is None
-
-    def test_identity_invariant_set(self):
-        s = identity_system(interval_grid(12))
-        assert weak_mixing_witness(s, [3, 4], [3, 4], 10) == 1
-
-
 class TestOmegaLimit:
     def test_fixed_point(self):
         s = square_system(16)
@@ -554,18 +435,6 @@ class TestRecurrenceInvariants:
         h = s.space.resolution
         assert 6 * h <= chain_scale(s, 2 * h)
 
-    def test_return_times_keep_appearing_on_equicontinuous_catalog(self):
-        for system in catalog_systems(32):
-            if system.name not in EQUICONTINUOUS:
-                continue
-            sc = make_epsilon_entourage(system.space, 2 * system.space.resolution)
-            omega = nonwandering_points(system, sc, 100)
-            for x in omega:
-                u = sorted(sc.rows[x])
-                short = return_times(system, u, u, 100).times
-                long = return_times(system, u, u, 200).times
-                assert len(long) > len(short), (system.name, x)
-
     def test_forward_invariance_up_to_one_cell(self):
         for system in catalog_systems(32):
             if system.name == "square":
@@ -579,53 +448,3 @@ class TestRecurrenceInvariants:
                     system.space.distance(image, system.space.points[y]) <= h + 1e-12
                     for y in omega
                 )
-
-    def test_product_pair_minimality_smoke(self):
-        # n = 2 product-system smoke echo: on an equicontinuous system with
-        # shadowing on its model (a resonant rotation), every pair of
-        # points is jointly almost periodic: the intersection of the two
-        # coordinates' return-time sets is syndetic in the window
-        s = rotation_system(1 / 8, 16)
-        sc = make_epsilon_entourage(s.space, 2 * s.space.resolution)
-        horizon = 128
-        for x, y in [(0, 3), (5, 11), (2, 2)]:
-            ux, uy = sorted(sc.rows[x]), sorted(sc.rows[y])
-            tx = set(return_times(s, [x], ux, horizon).times)
-            ty = set(return_times(s, [y], uy, horizon).times)
-            joint = ReturnTimeSet(tuple(sorted(tx & ty)), horizon, "set-to-set")
-            cls = classify_return_set(joint)
-            assert cls.syndetic_k is not None
-            assert cls.contains_kn is not None
-
-    def test_minimal_echo_on_kn_systems(self):
-        # where contains-kN fires, some y in the ball returns at every
-        # multiple of k within the horizon
-        cases = [
-            (identity_system(interval_grid(32)), 0),
-            (rotation_system(0.25, 32), 0),
-            (doubling_system(32), 0),
-        ]
-        horizon = 100
-        for system, x in cases:
-            sc = make_epsilon_entourage(system.space, 2 * system.space.resolution)
-            u = sorted(sc.rows[x])
-            cls = classify_return_set(return_times(system, u, u, horizon))
-            assert cls.contains_kn is not None
-            k = cls.contains_kn
-            assert k <= horizon // 4
-            witnesses = [
-                y
-                for y in u
-                if all(
-                    any(
-                        system.space.distance(
-                            iterate(system, system.space.points[y], j * k),
-                            system.space.points[z],
-                        )
-                        <= system.space.resolution / 2 + 1e-12
-                        for z in u
-                    )
-                    for j in range(1, horizon // k + 1)
-                )
-            ]
-            assert witnesses, system.name

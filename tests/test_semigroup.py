@@ -123,12 +123,12 @@ def test_realizable_length_bound_dp_verification():
     # bound M + N certifies every length from the generator vertex (loop
     # of length >= N there, then a chain of length <= M), which is what
     # the DP confirms on row 0
-    from chaindyn import chain_diameter, closed_walk_lengths, graph_from_edges
-    from oracles import walk_length_dp
+    from chaindyn import chain_diameter, graph_from_edges
+    from oracles import loop_lengths_bruteforce, walk_length_dp
 
     edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 0)]
     g = graph_from_edges(7, edges)
-    assert closed_walk_lengths(g, 0, 5)[:2] == [3, 5]
+    assert loop_lengths_bruteforce(g, 0, 5)[:2] == [3, 5]
     diameter = chain_diameter(g)
     bound = realizable_length_bound(GeneratorSet.of([3, 5]), diameter)
     assert bound == frobenius_bound(GeneratorSet.of([3, 5])) + diameter

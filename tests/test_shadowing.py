@@ -23,11 +23,9 @@ from chaindyn import (
     doubling_system,
     dyadic_basis,
     estimate_shadowing_modulus,
-    export_pseudo_orbit,
     find_shadow_point,
     generate_pseudo_orbit,
     identity_system,
-    import_pseudo_orbit,
     interval_grid,
     isobasism_check,
     iterate,
@@ -1035,60 +1033,6 @@ class TestVerification:
         assert orbit.states == (0,) * 6
         rep = find_shadow_point(orbit, make_epsilon_entourage(sp, 0.5), s)
         assert rep.shadowed and rep.witness == 0
-
-
-class TestExportImport:
-    def test_round_trip(self):
-        s = doubling_system(32)
-        d = make_epsilon_entourage(s.space, 2 / 32)
-        orbit = generate_pseudo_orbit(s, d, 12, seed=21, mode="uniform")
-        text = export_pseudo_orbit(orbit, s)
-        back, header = import_pseudo_orbit(text)
-        assert back.states == orbit.states
-        assert back.perturbations == orbit.perturbations
-        assert back.seed == orbit.seed
-        assert header["system"] == "doubling"
-        assert header["entourage"] == d.label
-
-    def test_malformed_record_rejected(self):
-        from chaindyn import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            import_pseudo_orbit("# header only\n")
-        with pytest.raises(InvalidParameterError):
-            import_pseudo_orbit("0 0.5\n")  # missing the chosen index
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "0 0.1 5\n7 0.2 3\n", "x 0.1 y\n", "# seed: abc\n0 0.1 5\n",
-            "-4 0.1 -9\n", "0 0.1 5\n5 0.2 -3\n", "0 abc 5\n5 zz 3\n", "0 0.1, 5\n",
-        ],
-        ids=[
-            "unchained", "non-integer-index", "non-integer-seed", "negative-index",
-            "negative-next-index", "non-float-coordinates", "empty-coordinate",
-        ],
-    )
-    def test_broken_record_is_an_invalid_parameter(self, text):
-        from chaindyn import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            import_pseudo_orbit(text)
-
-    def test_lines_carry_images(self):
-        s = rotation_system(0.25, 4)
-        d = make_epsilon_entourage(s.space, 0.3)
-        orbit = generate_pseudo_orbit(s, d, 3, seed=2, mode="uniform")
-        body = [
-            ln
-            for ln in export_pseudo_orbit(orbit, s).splitlines()
-            if ln and not ln.startswith("#")
-        ]
-        assert len(body) == 3
-        idx, coords, nxt = body[0].split()
-        assert int(idx) == orbit.states[0]
-        image = iterate(s, s.space.points[orbit.states[0]], 1)
-        assert float(coords) == pytest.approx(image[0])
 
 
 @st.composite

@@ -515,10 +515,14 @@ class TestCatalog:
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.yaml"))
 NO_LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
-#: PyYAML's pure-Python loader and, where PyYAML has it, the libyaml one.
+#: PyYAML's pure-Python loader and, where PyYAML has it, the libyaml one, each with
+#: the spec loader's check of repeated keys.
+PYTHON_LOADER = type("PythonLoader", (systems_module._UniqueKeys, yaml.SafeLoader), {})
+LIBYAML_LOADER = yaml.__with_libyaml__ and type(
+    "LibyamlLoader", (systems_module._UniqueKeys, yaml.CSafeLoader), {})
 LOADERS = [
-    pytest.param(yaml.SafeLoader, id="python"),
-    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml", marks=NO_LIBYAML),
+    pytest.param(PYTHON_LOADER, id="python"),
+    pytest.param(LIBYAML_LOADER, id="libyaml", marks=NO_LIBYAML),
 ]
 
 
@@ -527,7 +531,7 @@ def _outcome(path, loader, monkeypatch):
     monkeypatch.setattr(systems_module, "_LOADER", loader)
     try:
         return parse_spec(path)
-    except MalformedSpecError as exc:
+    except (MalformedSpecError, ValidationError) as exc:
         line = re.search(r"\(line \d+\)", str(exc))
         return type(exc), line and line.group()
 
@@ -579,7 +583,7 @@ class TestSpecLoaders:
     @given(_spec_texts())
     @settings(max_examples=200, deadline=None)
     def test_generated_specs_parse_alike(self, text):
-        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=LIBYAML_LOADER) == yaml.load(text, Loader=PYTHON_LOADER)
 
     @pytest.mark.parametrize("loader", LOADERS)
     def test_yaml_1_1_scalars(self, loader, tmp_path, monkeypatch):
@@ -595,9 +599,14 @@ class TestSpecLoaders:
         ("name: d\nmap: doubling\n\tgeometry: circle\ngrid_n: 16\n",
          (MalformedSpecError, "(line 3)")),
         ("just a scalar\n", (MalformedSpecError, None)),
-        # both loaders keep the last of two equal keys
-        ("name: d\nname: e\nmap: doubling\n", {"name": "e", "map": "doubling"}),
-    ], ids=["unclosed-bracket", "tab-indent", "bare-scalar", "duplicate-key"])
+        # both loaders refuse a key that one mapping lists twice, at its second line
+        ("name: d\nname: e\nmap: doubling\n", (ValidationError, "(line 2)")),
+        ("name: d\nanalysis:\n  seed: 3\n  seed: 4\n", (ValidationError, "(line 4)")),
+        # a merged key gives way to the mapping's own, as PyYAML resolves it
+        ("base: &b {seed: 3, x: 1}\nanalysis:\n  <<: *b\n  seed: 4\n",
+         {"base": {"seed": 3, "x": 1}, "analysis": {"seed": 4, "x": 1}}),
+    ], ids=["unclosed-bracket", "tab-indent", "bare-scalar", "duplicate-key",
+            "duplicate-analysis-key", "merge-key"])
     def test_malformed_yaml_fails_alike(self, text, expected, loader, tmp_path, monkeypatch):
         p = tmp_path / "bad.yaml"
         p.write_text(text)

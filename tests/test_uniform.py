@@ -9,22 +9,18 @@ from chaindyn import (
     Entourage,
     FinitePhaseSpace,
     Geometry,
-    InvalidCoverError,
     InvalidParameterError,
     OutOfRangeError,
     UniformityBasis,
     cantor_space,
     circle_grid,
     compose,
-    cross_section,
     diagonal_entourage,
     discrete_grid,
     dyadic_basis,
     interval_grid,
     make_epsilon_entourage,
     odometer_system,
-    power,
-    refining_entourage,
     verify_uniformity_axioms,
 )
 from chaindyn.chaingraph import build_transition_graph, image_successors
@@ -80,7 +76,7 @@ class TestSpaces:
         assert s.distance((0.0, 0.9), (0.95, 0.05)) == pytest.approx(0.15)
         e = make_epsilon_entourage(s, 0.25)
         # the eps-ball under the sup metric is a wrapped 3x3 block
-        assert len(cross_section(e, 0)) == 9
+        assert len(e.row(0)) == 9
         report = verify_uniformity_axioms(dyadic_basis(s, 4))
         assert report.all_ok
 
@@ -141,7 +137,7 @@ class TestEpsilonEntourage:
         x = x % n
         s = circle_grid(n)
         e = make_epsilon_entourage(s, eps)
-        assert set(cross_section(e, x)) == ball_bruteforce(s, x, eps)
+        assert set(e.row(x)) == ball_bruteforce(s, x, eps)
 
 
 # Irregular sorted coordinates with max gap 0.15; on the circle 0.0 and 1.0
@@ -608,20 +604,13 @@ class TestComposition:
         # step-neighbor relation squared equals the two-step relation
         s = interval_grid(6)
         e = make_epsilon_entourage(s, s.resolution)
-        sq = power(e, 2)
         expected = {(i, j) for i in range(6) for j in range(6) if abs(i - j) <= 2}
-        assert relation_pairs(sq) == expected
-
-    def test_power_one_is_the_entourage_itself(self):
-        s = circle_grid(6)
-        e = make_epsilon_entourage(s, 0.3)
-        assert power(e, 1) == e
+        assert relation_pairs(compose(e, e)) == expected
 
     def test_complete_relation_absorbs(self):
         s = circle_grid(5)
         full = make_epsilon_entourage(s, 2.0)
-        for k in (1, 2, 3):
-            assert relation_pairs(power(full, k)) == relation_pairs(full)
+        assert relation_pairs(compose(full, full)) == relation_pairs(full)
 
     def test_space_mismatch(self):
         from chaindyn import IncompatibleSpaceError
@@ -679,22 +668,22 @@ class TestComposition:
 class TestCrossSection:
     def test_diagonal(self):
         s = interval_grid(5)
-        assert cross_section(diagonal_entourage(s), 3) == frozenset({3})
+        assert diagonal_entourage(s).row(3) == [3]
 
     def test_circle_ball(self):
         s = circle_grid(4)
         e = make_epsilon_entourage(s, 0.3)
-        assert set(cross_section(e, 0)) == {0, 1, 3}
+        assert e.row(0) == [0, 1, 3]
 
     def test_complete(self):
         s = interval_grid(4)
         e = make_epsilon_entourage(s, 2.0)
-        assert set(cross_section(e, 2)) == {0, 1, 2, 3}
+        assert e.row(2) == [0, 1, 2, 3]
 
     def test_invalid_index(self):
         s = interval_grid(4)
         with pytest.raises(OutOfRangeError):
-            cross_section(diagonal_entourage(s), 4)
+            diagonal_entourage(s).row(4)
 
 
 class TestAxioms:
@@ -759,48 +748,3 @@ class TestAxioms:
         )
         report = verify_uniformity_axioms(basis)
         assert not report.levels[0].nested_ok
-
-
-class TestRefinement:
-    def test_whole_space_cover(self):
-        basis = dyadic_basis(circle_grid(8), 6)
-        d = refining_entourage(basis, [set(range(8))])
-        assert d.label == basis.levels[0].label
-
-    def test_two_arc_cover_on_circle(self):
-        # two arcs of 5 points overlapping in 2 -> scale at most h
-        s = circle_grid(8)
-        basis = dyadic_basis(s, 8)
-        d = refining_entourage(basis, [set(range(5)), {4, 5, 6, 7, 0}])
-        assert d.scale is not None and d.scale <= s.resolution + 1e-12
-        for x in range(8):
-            row = set(d.rows[x])
-            assert row <= set(range(5)) or row <= {4, 5, 6, 7, 0}
-
-    def test_singleton_cover_returns_diagonal_relation(self):
-        s = circle_grid(8)
-        basis = dyadic_basis(s, 8)
-        d = refining_entourage(basis, [{i} for i in range(8)])
-        assert d.is_diagonal_only()
-
-    def test_non_cover_rejected(self):
-        basis = dyadic_basis(circle_grid(8), 4)
-        with pytest.raises(InvalidCoverError):
-            refining_entourage(basis, [{0, 1, 2}])
-
-    @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_refinement_postcondition(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=12))
-        s = circle_grid(n)
-        basis = dyadic_basis(s, 6)
-        # random cover: random subsets patched to cover everything
-        members = data.draw(
-            st.lists(
-                st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4
-            )
-        )
-        members.append(set(range(n)) - set().union(*members) or {0})
-        d = refining_entourage(basis, members)
-        for x in range(n):
-            assert any(set(d.rows[x]) <= m for m in members)
